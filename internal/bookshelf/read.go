@@ -190,8 +190,17 @@ func newLineScanner(r io.Reader) *lineScanner {
 	case interface{ Len() int }: // strings.Reader, bytes.Reader, bytes.Buffer
 		size = int64(v.Len())
 	}
+	// Start the buffer at the input's size when it is known and smaller
+	// than 1 MiB (one byte more, so reaching EOF never grows it): the daemon
+	// parses many small inline bundles side by side, and a fixed 1 MiB
+	// buffer per file was most of each job's garbage. Longer lines still
+	// grow it, up to 16 MiB.
+	initial := int64(1024 * 1024)
+	if size >= 0 && size < initial {
+		initial = size + 1
+	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, initial), 16*1024*1024)
 	return &lineScanner{sc: sc, size: size}
 }
 

@@ -302,9 +302,10 @@ func benchName(i int) string {
 	return "b" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+i/676))
 }
 
-// TestPotentialParallelMatchesSerial asserts the row-tiled parallel
+// TestPotentialParallelMatchesSerial asserts the row-band parallel
 // evaluation is bit-identical to the serial one at several worker counts,
-// with and without gradients.
+// including band counts that do not divide the 16 grid rows, with and
+// without gradients.
 func TestPotentialParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	nl := netlist.New("par")
@@ -326,7 +327,7 @@ func TestPotentialParallelMatchesSerial(t *testing.T) {
 	gyS := make([]float64, n)
 	fS := serial.Eval(cx, cy, gxS, gyS)
 
-	for _, workers := range []int{2, 3, 8} {
+	for _, workers := range []int{2, 3, 5, 8} {
 		p := NewPotential(nl, pl, g, 0.5)
 		p.SetParallel(par.New(workers), context.Background())
 		gx := make([]float64, n)

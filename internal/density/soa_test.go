@@ -136,19 +136,30 @@ func TestGradientBeforeValuePanics(t *testing.T) {
 	p.Gradient(make([]float64, len(nl.Cells)), make([]float64, len(nl.Cells)))
 }
 
-// TestValueSerialMatchesRowTiled checks the serial splat fast path against
-// the row-tiled parallel schedule bitwise at several worker counts.
+// TestValueSerialMatchesRowTiled checks the serial splat against the
+// row-band parallel schedule bitwise — value, density map and gradient — at
+// worker counts that do not divide the 23 grid rows, with a cell centered
+// on every row boundary so kernels straddle every band edge.
 func TestValueSerialMatchesRowTiled(t *testing.T) {
 	nl, pl, grid := soaProblem(17, 200)
+	grid = geom.NewGrid(grid.Region, grid.NX, 23)
 	cx := make([]float64, len(nl.Cells))
 	cy := make([]float64, len(nl.Cells))
+	boundary := 1
 	for i := range nl.Cells {
 		cx[i] = pl.X[i] + nl.Cells[i].W/2
 		cy[i] = pl.Y[i] + nl.Cells[i].H/2
+		if !nl.Cells[i].Fixed && boundary < grid.NY {
+			cy[i] = grid.Region.Lo.Y + float64(boundary)*grid.BinH
+			boundary++
+		}
 	}
 	serial := NewPotential(nl, pl, grid, 0.9)
 	fS := serial.Value(cx, cy)
-	for _, workers := range []int{2, 3, 4} {
+	gxS := make([]float64, len(nl.Cells))
+	gyS := make([]float64, len(nl.Cells))
+	serial.Gradient(gxS, gyS)
+	for _, workers := range []int{2, 3, 4, 5} {
 		p := NewPotential(nl, pl, grid, 0.9)
 		p.SetParallel(par.New(workers), nil)
 		if f := p.Value(cx, cy); f != fS {
@@ -158,6 +169,15 @@ func TestValueSerialMatchesRowTiled(t *testing.T) {
 			if p.dens[i] != serial.dens[i] {
 				t.Fatalf("workers=%d: bin %d density %v != serial %v",
 					workers, i, p.dens[i], serial.dens[i])
+			}
+		}
+		gx := make([]float64, len(nl.Cells))
+		gy := make([]float64, len(nl.Cells))
+		p.Gradient(gx, gy)
+		for i := range gx {
+			if gx[i] != gxS[i] || gy[i] != gyS[i] {
+				t.Fatalf("workers=%d: grad[%d] = (%v,%v), serial (%v,%v)",
+					workers, i, gx[i], gy[i], gxS[i], gyS[i])
 			}
 		}
 	}

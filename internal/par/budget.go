@@ -15,12 +15,14 @@ import (
 // whose worker counts add up to at most eight, not four pools of eight
 // workers each thrashing the scheduler.
 //
-// Acquire is deliberately elastic: a caller asking for more workers than are
-// free is granted what is free (at least one) rather than blocking until its
-// full request fits. Placements are bit-identical at every worker count, so
-// shrinking a grant only trades wall clock — it can never change a result —
-// and the elastic policy keeps the queue draining under load instead of
-// convoying behind wide jobs.
+// Acquire grants what is free (at least one) when a caller asks for more
+// workers than are free, rather than blocking until its full request fits.
+// Placements are bit-identical at every worker count, so shrinking a grant
+// only trades wall clock — it can never change a result — and the queue
+// keeps draining under load instead of convoying behind wide jobs. How many
+// workers to ask for is the caller's policy: the daemon sizes each request
+// to its job (internal/serve, one worker per 2,048 cells), because a second
+// worker speeds a small placement up less than running a second job does.
 type Budget struct {
 	mu        sync.Mutex
 	total     int

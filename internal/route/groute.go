@@ -240,18 +240,14 @@ func edgeCost(use, cap float64) float64 {
 
 // route finds the cheapest monotone L/Z path between two bins: it tries
 // both L shapes and every Z with one intermediate bend along either axis.
+// Candidates are scored by zCost without building them; only the winner's
+// edge list is allocated.
 func (r *grouter) route(a, b [2]int) []grEdgeRef {
 	if a[0] == b[0] && a[1] == b[1] {
 		return nil
 	}
 	best := math.Inf(1)
-	var bestPath []grEdgeRef
-	try := func(path []grEdgeRef, cost float64) {
-		if cost < best {
-			best = cost
-			bestPath = path
-		}
-	}
+	bestM, bestVH := -1, false
 	// The bend position may leave the bounding box by up to detourWindow
 	// bins — essential for congestion relief when both pins share a row or
 	// column (the straight path would otherwise be the only candidate).
@@ -260,97 +256,91 @@ func (r *grouter) route(a, b [2]int) []grEdgeRef {
 	lo := maxInt(0, minInt(a[0], b[0])-detourWindow)
 	hi := minInt(r.grid.NX-1, maxInt(a[0], b[0])+detourWindow)
 	for m := lo; m <= hi; m++ {
-		path, cost := r.zPathHV(a, b, m)
-		try(path, cost)
+		if c := r.zCost(a, b, m, false); c < best {
+			best, bestM, bestVH = c, m, false
+		}
 	}
 	// Z-routes with the horizontal run at row m.
 	lo = maxInt(0, minInt(a[1], b[1])-detourWindow)
 	hi = minInt(r.grid.NY-1, maxInt(a[1], b[1])+detourWindow)
 	for m := lo; m <= hi; m++ {
-		path, cost := r.zPathVH(a, b, m)
-		try(path, cost)
+		if c := r.zCost(a, b, m, true); c < best {
+			best, bestM, bestVH = c, m, true
+		}
 	}
-	return bestPath
+	if bestM < 0 {
+		return nil // no finite-cost candidate
+	}
+	return r.zPath(a, b, bestM, bestVH)
 }
 
-// zPathHV: horizontal from a to column m, vertical to b's row, horizontal to b.
-func (r *grouter) zPathHV(a, b [2]int, m int) ([]grEdgeRef, float64) {
-	var path []grEdgeRef
-	cost := 0.0
-	addH := func(x0, x1, y int) {
-		step := 1
-		if x1 < x0 {
-			step = -1
-		}
-		for x := x0; x != x1; x += step {
-			i := x
-			if step < 0 {
-				i = x - 1
-			}
-			idx := r.hIdx(i, y)
-			path = append(path, grEdgeRef{true, idx})
-			cost += edgeCost(r.hUse[idx], r.hCap)
-		}
+// zCost is the congestion cost of the Z path through bend m: with vh false,
+// horizontal from a to column m, vertical to b's row, horizontal to b; with
+// vh true, vertical from a to row m, horizontal to b's column, vertical to
+// b. The edge costs are summed in walk order, the order zPath lists them.
+//
+//placelint:hotpath
+func (r *grouter) zCost(a, b [2]int, m int, vh bool) float64 {
+	if vh {
+		return r.vCost(r.hCost(r.vCost(0, a[1], m, a[0]), a[0], b[0], m), m, b[1], b[0])
 	}
-	addV := func(y0, y1, x int) {
-		step := 1
-		if y1 < y0 {
-			step = -1
-		}
-		for y := y0; y != y1; y += step {
-			j := y
-			if step < 0 {
-				j = y - 1
-			}
-			idx := r.vIdx(x, j)
-			path = append(path, grEdgeRef{false, idx})
-			cost += edgeCost(r.vUse[idx], r.vCap)
-		}
-	}
-	addH(a[0], m, a[1])
-	addV(a[1], b[1], m)
-	addH(m, b[0], b[1])
-	return path, cost
+	return r.hCost(r.vCost(r.hCost(0, a[0], m, a[1]), a[1], b[1], m), m, b[0], b[1])
 }
 
-// zPathVH: vertical from a to row m, horizontal to b's column, vertical to b.
-func (r *grouter) zPathVH(a, b [2]int, m int) ([]grEdgeRef, float64) {
-	var path []grEdgeRef
-	cost := 0.0
-	addH := func(x0, x1, y int) {
-		step := 1
-		if x1 < x0 {
-			step = -1
-		}
-		for x := x0; x != x1; x += step {
-			i := x
-			if step < 0 {
-				i = x - 1
-			}
-			idx := r.hIdx(i, y)
-			path = append(path, grEdgeRef{true, idx})
-			cost += edgeCost(r.hUse[idx], r.hCap)
-		}
+// hCost adds to cost the edge costs of the horizontal run from column x0 to
+// column x1 in row y, in walk order.
+func (r *grouter) hCost(cost float64, x0, x1, y int) float64 {
+	for x := x0; x < x1; x++ {
+		cost += edgeCost(r.hUse[r.hIdx(x, y)], r.hCap)
 	}
-	addV := func(y0, y1, x int) {
-		step := 1
-		if y1 < y0 {
-			step = -1
-		}
-		for y := y0; y != y1; y += step {
-			j := y
-			if step < 0 {
-				j = y - 1
-			}
-			idx := r.vIdx(x, j)
-			path = append(path, grEdgeRef{false, idx})
-			cost += edgeCost(r.vUse[idx], r.vCap)
-		}
+	for x := x0; x > x1; x-- {
+		cost += edgeCost(r.hUse[r.hIdx(x-1, y)], r.hCap)
 	}
-	addV(a[1], m, a[0])
-	addH(a[0], b[0], m)
-	addV(m, b[1], b[0])
-	return path, cost
+	return cost
+}
+
+// vCost is hCost for the vertical run from row y0 to row y1 in column x.
+func (r *grouter) vCost(cost float64, y0, y1, x int) float64 {
+	for y := y0; y < y1; y++ {
+		cost += edgeCost(r.vUse[r.vIdx(x, y)], r.vCap)
+	}
+	for y := y0; y > y1; y-- {
+		cost += edgeCost(r.vUse[r.vIdx(x, y-1)], r.vCap)
+	}
+	return cost
+}
+
+// zPath builds the edge list of the Z path zCost scores, in walk order, in
+// one exactly sized allocation.
+func (r *grouter) zPath(a, b [2]int, m int, vh bool) []grEdgeRef {
+	if vh {
+		path := make([]grEdgeRef, 0, absInt(a[1]-m)+absInt(a[0]-b[0])+absInt(m-b[1]))
+		return r.appendV(r.appendH(r.appendV(path, a[1], m, a[0]), a[0], b[0], m), m, b[1], b[0])
+	}
+	path := make([]grEdgeRef, 0, absInt(a[0]-m)+absInt(a[1]-b[1])+absInt(m-b[0]))
+	return r.appendH(r.appendV(r.appendH(path, a[0], m, a[1]), a[1], b[1], m), m, b[0], b[1])
+}
+
+// appendH appends the horizontal run from column x0 to x1 in row y.
+func (r *grouter) appendH(path []grEdgeRef, x0, x1, y int) []grEdgeRef {
+	for x := x0; x < x1; x++ {
+		path = append(path, grEdgeRef{true, r.hIdx(x, y)})
+	}
+	for x := x0; x > x1; x-- {
+		path = append(path, grEdgeRef{true, r.hIdx(x-1, y)})
+	}
+	return path
+}
+
+// appendV appends the vertical run from row y0 to y1 in column x.
+func (r *grouter) appendV(path []grEdgeRef, y0, y1, x int) []grEdgeRef {
+	for y := y0; y < y1; y++ {
+		path = append(path, grEdgeRef{false, r.vIdx(x, y)})
+	}
+	for y := y0; y > y1; y-- {
+		path = append(path, grEdgeRef{false, r.vIdx(x, y-1)})
+	}
+	return path
 }
 
 func (r *grouter) apply(path []grEdgeRef, delta float64) {

@@ -107,6 +107,19 @@ type View struct {
 	Requeued bool `json:"requeued,omitempty"`
 }
 
+// dropPayload replaces a terminal job's spec with the fields its view
+// still shows. The daemon keeps every job's record for its lifetime, and an
+// inline Bookshelf bundle is tens of kilobytes, so kept specs grew the heap
+// with every job served. A terminal job never runs again; its full spec
+// stays in the journal and the job's spec.json artifact. The spec is
+// replaced, not edited, because a finishing attempt may still hold it.
+// Caller holds the server mutex.
+func (j *Job) dropPayload() {
+	if j.Spec != nil {
+		j.Spec = &JobSpec{Name: j.Spec.Name, Priority: j.Spec.Priority}
+	}
+}
+
 // view snapshots the job for the API. Caller holds the server mutex.
 func (j *Job) view() View {
 	name := ""

@@ -92,6 +92,13 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	if got.HPWL <= 0 {
 		t.Fatalf("HPWL = %v, want > 0", got.HPWL)
 	}
+	// A terminal job keeps only the spec fields its view shows.
+	s.mu.Lock()
+	kept := *s.jobs[v.ID].Spec
+	s.mu.Unlock()
+	if kept.Gen != nil || kept.Name != "e2e" {
+		t.Fatalf("terminal job kept spec %+v, want only its name", kept)
+	}
 
 	// The artifact directory holds the full result set.
 	dir := s.JobDir(v.ID)

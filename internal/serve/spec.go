@@ -61,8 +61,10 @@ type SpecOptions struct {
 	Outer int `json:"outer,omitempty"`
 	// Inner caps CG iterations per stage (0 = default 50).
 	Inner int `json:"inner,omitempty"`
-	// Workers is the requested worker count; the scheduler may grant fewer
-	// when the shared budget is contended (results are identical either way).
+	// Workers is the requested worker count (0 = as many as the job's size
+	// warrants). It is an upper bound: the scheduler grants at most one
+	// worker per 2,048 estimated cells, and fewer when the shared budget is
+	// contended (results are identical either way).
 	Workers int `json:"workers,omitempty"`
 	// OnDegrade selects "fallback" (default) or "fail".
 	OnDegrade string `json:"on_degrade,omitempty"`
@@ -217,12 +219,13 @@ func parseUnits(names []string) ([]gen.UnitKind, error) {
 	return kinds, nil
 }
 
-// EstimateCells is the admission-control cost proxy: an upper-ish estimate
-// of the movable cell count the job will place, computed without building
-// the design. Gen specs count their declared cells (each unit contributes at
-// most ~8 cells per bit); aux bundles count .nodes lines. The estimate only
-// has to rank job sizes for the admission threshold — it is not used
-// anywhere a placement could observe it.
+// EstimateCells is the job-size proxy: an upper-ish estimate of the movable
+// cell count the job will place, computed without building the design. Gen
+// specs count their declared cells (each unit contributes at most ~8 cells
+// per bit); aux bundles count .nodes lines. It decides admission (the
+// MaxCells threshold) and sizes the job's worker grant (one worker per
+// 2,048 cells). It only has to rank job sizes — a placement never observes
+// it, since results are identical at every worker count.
 func EstimateCells(s *JobSpec) int {
 	if g := s.Gen; g != nil {
 		bits := g.Bits
