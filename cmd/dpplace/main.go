@@ -78,6 +78,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/place/congestion"
 	"repro/internal/place/global"
 	"repro/internal/place/multilevel"
@@ -108,24 +109,6 @@ func classify(err error) int {
 		return exitDegenerate
 	default:
 		return exitError
-	}
-}
-
-// exitName is the run report's machine-readable exit classification.
-func exitName(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, core.ErrTimeout):
-		return "timeout"
-	case errors.Is(err, core.ErrDiverged):
-		return "diverged"
-	case errors.Is(err, core.ErrDegenerateGroups):
-		return "degenerate-groups"
-	case errors.Is(err, core.ErrMalformedInput):
-		return "malformed-input"
-	default:
-		return "error"
 	}
 }
 
@@ -384,11 +367,18 @@ func run() int {
 	}
 
 	if *reportPath != "" {
-		exitLabel := exitName(err)
+		exit := pipeline.Classify(err)
 		if interrupted {
-			exitLabel = "interrupted"
+			exit = "interrupted"
 		}
-		if werr := writeReport(*reportPath, d.Netlist.Name, opt.Mode, res, rep, exitLabel, rec); werr != nil {
+		out := res.RunReport(d.Netlist.Name, opt.Mode, exit, rec)
+		if n := faultinject.FiredTotal(); n > 0 {
+			out.Counters["fault_injections"] = int64(n)
+		}
+		if rep != nil {
+			out.Metrics = rep
+		}
+		if werr := obs.WriteReportFile(*reportPath, out); werr != nil {
 			return fatal(exitError, "%v", werr)
 		}
 		rec.Logf(obs.Info, "dpplace", "run report: %s", *reportPath)
@@ -492,53 +482,4 @@ func printSummary(w *os.File, mode core.Mode, res *core.Result, rep *metrics.Rep
 	if res.Partial {
 		fmt.Fprintf(w, "partial:         pipeline stopped at the deadline\n")
 	}
-}
-
-// writeReport assembles and writes the machine-readable run report.
-// exitLabel is the machine-readable exit classification ("interrupted" for
-// signal stops, exitName(err) otherwise).
-func writeReport(path, design string, mode core.Mode, res *core.Result, rep *metrics.Report, exitLabel string, rec *obs.Recorder) error {
-	counters := rec.Counters()
-	if n := faultinject.FiredTotal(); n > 0 {
-		counters["fault_injections"] = int64(n)
-	}
-	out := &obs.RunReport{
-		Design:  design,
-		Mode:    mode.String(),
-		Exit:    exitLabel,
-		Partial: res.Partial,
-		Workers: res.GlobalResult.Workers,
-		HPWL: obs.HPWLSummary{
-			Global: res.HPWLGlobal,
-			Legal:  res.HPWLLegal,
-			Final:  res.HPWLFinal,
-		},
-		StageSeconds: map[string]float64{
-			"extract":  res.Times.Extract.Seconds(),
-			"global":   res.Times.Global.Seconds(),
-			"legalize": res.Times.Legalize.Seconds(),
-			"detail":   res.Times.Detail.Seconds(),
-		},
-		Counters:        counters,
-		Trajectory:      rec.Trajectory(),
-		DirtyNetRatio:   res.GlobalResult.DirtyNetRatio(),
-		FullRecomputes:  res.GlobalResult.FullEvals,
-		DeltaRecomputes: res.GlobalResult.DeltaEvals,
-	}
-	if res.Multilevel != nil {
-		out.Levels = res.Multilevel.Levels
-		out.ClusterRatio = res.Multilevel.ClusterRatio
-	}
-	if c := res.GlobalResult.Congestion; c != nil {
-		out.Congestion = c.Report()
-	}
-	for _, deg := range res.Degradations {
-		out.Degradations = append(out.Degradations, obs.DegradeEntry{
-			Stage: deg.Stage, Group: deg.Group, Reason: deg.Reason,
-		})
-	}
-	if rep != nil {
-		out.Metrics = rep
-	}
-	return obs.WriteReportFile(path, out)
 }

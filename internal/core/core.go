@@ -291,14 +291,8 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, chip *geom.Core, initial
 		gRes, err = runGlobal(opt.Global, nil)
 		res.Times.Global += sw.Elapsed()
 	}
-	if res.Multilevel != nil {
-		gSpan.Add("levels", int64(res.Multilevel.Levels))
-		gSpan.Add("coarsest_cells", int64(res.Multilevel.CoarsestCells))
-	}
 	gSpan.Add("outer_iters", int64(gRes.OuterIters))
 	gSpan.Add("func_evals", int64(gRes.FuncEvals))
-	gSpan.Add("rollbacks", int64(gRes.Diagnostics.Rollbacks))
-	gSpan.Add("re_anneals", int64(gRes.Diagnostics.ReAnneals))
 	gSpan.End()
 	res.GlobalResult = gRes
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/place/global"
 )
 
@@ -99,7 +100,7 @@ func Figure6(cfg gen.Config, opts RunOpts) (*Table, error) {
 			g.Groups = groups
 		}
 		var pts []pt
-		g.Trace = func(tp global.TracePoint) {
+		g.Trace = func(tp obs.TrajectoryPoint) {
 			// Score alignment against the same groups in both flows.
 			cx := make([]float64, b.Netlist.NumCells())
 			cy := make([]float64, b.Netlist.NumCells())

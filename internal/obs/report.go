@@ -17,7 +17,7 @@ type RunReport struct {
 	Schema  string `json:"schema"`
 	Design  string `json:"design"`
 	Mode    string `json:"mode"`
-	Exit    string `json:"exit"` // ok|timeout|diverged|degenerate-groups|malformed-input|error
+	Exit    string `json:"exit"` // ok|timeout|diverged|degenerate-groups|malformed-input|error|interrupted
 	Partial bool   `json:"partial,omitempty"`
 
 	// Workers is the resolved worker count of the parallel placement engine
@@ -28,17 +28,6 @@ type RunReport struct {
 	Workers         int     `json:"workers,omitempty"`
 	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
 
-	// Incremental-evaluation effectiveness of the global-place engine.
-	// DirtyNetRatio is net recomputations over total per-net decisions
-	// (recomputations + reuses): 1.0 means every evaluation recomputed every
-	// net (no reuse), small values mean the epoch scheme proved most nets
-	// clean. FullRecomputes and DeltaRecomputes count whole objective
-	// evaluations by kind: ones that recomputed every incident net versus
-	// ones that reused at least one cached per-net result.
-	DirtyNetRatio   float64 `json:"dirty_net_ratio,omitempty"`
-	FullRecomputes  int64   `json:"full_recomputes,omitempty"`
-	DeltaRecomputes int64   `json:"delta_recomputes,omitempty"`
-
 	// Levels and ClusterRatio describe the multilevel V-cycle when it ran:
 	// Levels counts placement levels (1 = flat), ClusterRatio is the
 	// coarsest level's movable-cell count relative to the flat netlist.
@@ -48,9 +37,13 @@ type RunReport struct {
 
 	HPWL         HPWLSummary        `json:"hpwl"`
 	StageSeconds map[string]float64 `json:"stage_seconds,omitempty"`
-	Counters     map[string]int64   `json:"counters,omitempty"`
-	Degradations []DegradeEntry     `json:"degradations,omitempty"`
-	Trajectory   []TrajectoryPoint  `json:"trajectory,omitempty"`
+	// Counters are the recorder's totals. Among them the incremental
+	// evaluator's effectiveness: the dirty-net ratio is global/net_recomputes
+	// over global/net_recomputes + global/net_reuses, and global/evals_full
+	// and global/evals_delta split whole evaluations by kind.
+	Counters     map[string]int64  `json:"counters,omitempty"`
+	Degradations []DegradeEntry    `json:"degradations,omitempty"`
+	Trajectory   []TrajectoryPoint `json:"trajectory,omitempty"`
 
 	// Congestion summarizes the congestion feedback loop of the global solve
 	// when it was enabled. Additive to dpplace-run-report/v1: absent when the

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/place/global"
 )
 
@@ -116,11 +117,11 @@ func TestPlaceStructureAwareAligns(t *testing.T) {
 
 func TestPlaceTraceAndModels(t *testing.T) {
 	b := testBench(t)
-	var traces []global.TracePoint
+	var traces []obs.TrajectoryPoint
 	pl := b.Placement.Clone()
 	_, err := global.Place(b.Netlist, pl, b.Core, global.Options{
 		MaxOuterIters: 6, InnerIters: 15, WLModel: "lse",
-		Trace: func(tp global.TracePoint) { traces = append(traces, tp) },
+		Trace: func(tp obs.TrajectoryPoint) { traces = append(traces, tp) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -80,19 +80,9 @@ type Options struct {
 	// The zero value (Enable=false) keeps the loop off and the solve
 	// byte-identical to a build without it.
 	Congestion congestion.Options
-	// Trace, when non-nil, observes every outer iteration.
-	Trace func(TracePoint)
-}
-
-// TracePoint is one outer-iteration snapshot for convergence figures.
-type TracePoint struct {
-	Outer     int
-	HPWL      float64
-	Overflow  float64
-	AlignRMS  float64
-	Objective float64
-	Lambda    float64
-	Alpha     float64
+	// Trace, when non-nil, observes every accepted outer iteration: the
+	// same λ-schedule point the recorder's trajectory collects.
+	Trace func(obs.TrajectoryPoint)
 }
 
 // Result reports the global placement outcome.
@@ -1109,21 +1099,9 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		} else {
 			sinceBest++
 		}
-		if e.o.Trace != nil {
+		if e.o.Trace != nil || rec.Active() {
 			e.refresh(v)
-			e.o.Trace(TracePoint{
-				Outer:     outer,
-				HPWL:      pl.HPWL(nl),
-				Overflow:  ov,
-				AlignRMS:  AlignmentScore(e.o.Groups, e.core.RowH(), e.cxFull, e.cyFull),
-				Objective: r.F,
-				Lambda:    e.lambda,
-				Alpha:     e.alpha,
-			})
-		}
-		if rec.Active() {
-			e.refresh(v)
-			rec.OuterIter("global", obs.TrajectoryPoint{
+			p := obs.TrajectoryPoint{
 				Outer:     outer,
 				Inner:     r.Iters,
 				HPWL:      pl.HPWL(nl),
@@ -1133,7 +1111,11 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 				Lambda:    e.lambda,
 				Alpha:     e.alpha,
 				Gamma:     gamma,
-			})
+			}
+			if e.o.Trace != nil {
+				e.o.Trace(p)
+			}
+			rec.OuterIter("global", p)
 		}
 		if r.Stopped {
 			res.Diagnostics.Partial = true
@@ -1190,8 +1172,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 	if e.cong != nil {
 		st := e.cong.Stats()
 		res.Congestion = &st
-		rec.Add("global/congestion_snapshots", int64(st.Snapshots))
-		rec.Add("global/congestion_inflated_cells", int64(st.InflatedCells))
 	}
 	rec.Logf(obs.Debug, "global",
 		"done: %d outer iters, %d evals, HPWL %.0f, overflow %.3f, align RMS %.3f",

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"slices"
+
 	"repro/internal/obs"
 	obsmetrics "repro/internal/obs/metrics"
 )
@@ -19,7 +21,7 @@ var (
 	// retryClassLabels are the retryable slices of the pipeline taxonomy.
 	retryClassLabels = []string{"diverged", "degenerate-groups"}
 	// healthKindLabels are the solver health-guard event kinds folded from
-	// per-job recorders.
+	// per-job run reports.
 	healthKindLabels = []string{"rollbacks", "re_anneals", "baseline_reruns"}
 	// stageLabels are the pipeline stages with a wall-time series. Span names
 	// outside this list (per-level multilevel spans) are skipped to keep the
@@ -70,9 +72,6 @@ type serverMetrics struct {
 	stageSeconds     *obsmetrics.HistogramVec
 	degradations     *obsmetrics.Counter
 	healthEvents     *obsmetrics.CounterVec
-
-	congestionSnapshots *obsmetrics.Counter
-	congestionInflated  *obsmetrics.Counter
 }
 
 // newServerMetrics registers the daemon's metric families on reg and
@@ -118,10 +117,6 @@ func newServerMetrics(reg *obsmetrics.Registry) *serverMetrics {
 			"Graceful degradations (groups dropped to fallback placement)."),
 		healthEvents: reg.CounterVec("dpplace_health_events_total",
 			"Solver health-guard events by kind.", "kind"),
-		congestionSnapshots: reg.Counter("dpplace_congestion_snapshots_total",
-			"RUDY snapshots taken by the congestion feedback loop."),
-		congestionInflated: reg.Counter("dpplace_congestion_inflated_cells_total",
-			"Cells left inflated by the congestion feedback loop, summed over jobs."),
 	}
 	for _, v := range jobStateLabels {
 		m.jobsTotal.With(v)
@@ -147,25 +142,22 @@ func (m *serverMetrics) jobState(state string) {
 }
 
 // observeStage records one pipeline span's wall time, skipping span names
-// outside the bounded stage enum (per-level multilevel spans would otherwise
-// mint unbounded label values).
+// outside stageLabels (per-level multilevel spans would otherwise mint
+// unbounded label values).
 func (m *serverMetrics) observeStage(name string, seconds float64) {
-	switch name {
-	case "place", "extract", "global", "legalize", "detail", "metrics":
+	if slices.Contains(stageLabels, name) {
 		m.stageSeconds.With(name).Observe(seconds)
 	}
 }
 
-// foldRecorder folds one finished attempt's recorder counters into the fleet
-// registry: total degradations plus the health-guard event totals. Only
-// whole-run totals are folded (the per-event SolverEvent keys stay in the
-// per-job report) so nothing is double counted.
-func (m *serverMetrics) foldRecorder(rec *obs.Recorder) {
-	c := rec.Counters()
-	m.degradations.Add(c["degradations"])
-	m.healthEvents.With("rollbacks").Add(c["global/rollbacks"])
-	m.healthEvents.With("re_anneals").Add(c["global/re_anneals"])
-	m.healthEvents.With("baseline_reruns").Add(c["global/baseline_reruns"])
-	m.congestionSnapshots.Add(c["global/congestion_snapshots"])
-	m.congestionInflated.Add(c["global/congestion_inflated_cells"])
+// foldReport folds one finished attempt's run report into the fleet
+// registry: its degradations and its solver health-guard events. The health
+// events are the per-event counters, which count every rollback and
+// re-anneal of the attempt, baseline fallback reruns and every multilevel
+// level included.
+func (m *serverMetrics) foldReport(rep *obs.RunReport) {
+	m.degradations.Add(int64(len(rep.Degradations)))
+	m.healthEvents.With("rollbacks").Add(rep.Counters["global/outer-rollback"])
+	m.healthEvents.With("re_anneals").Add(rep.Counters["global/re-anneal"])
+	m.healthEvents.With("baseline_reruns").Add(rep.Counters["global/baseline_reruns"])
 }

@@ -10,10 +10,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
+	"repro/internal/obs"
 	obsmetrics "repro/internal/obs/metrics"
 )
 
@@ -132,6 +135,118 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if _, ok := rep.MetricsSnapshot["dpplaced_job_duration_seconds"]; ok {
 		t.Error("snapshot must not contain histogram families")
+	}
+
+	// A multilevel job ends a span for every stage the stage histograms
+	// track, plus one multilevel/level<k> span per level that must not mint
+	// a label: every stage count grows, and no per-level label appears.
+	before := stageCounts(t, text)
+	ml := fastSpec("metrics-ml", 19)
+	ml.Gen.RandomCells = 500
+	ml.Options.Multilevel = true
+	v, err = s.Submit(ml)
+	if err != nil {
+		t.Fatalf("Submit multilevel: %v", err)
+	}
+	if got := waitTerminal(t, s, v.ID, 60*time.Second); got.State != StateDone {
+		t.Fatalf("multilevel job ended %s (%s), want done", got.State, got.Error)
+	}
+	waitIdle(t, s, 10*time.Second)
+	text = scrape(t, ts.URL)
+	after := stageCounts(t, text)
+	for _, stage := range stageLabels {
+		if after[stage] <= before[stage] {
+			t.Errorf("stage %q count %v did not grow past %v after a multilevel job",
+				stage, after[stage], before[stage])
+		}
+	}
+	if strings.Contains(text, `stage="multilevel/level`) {
+		t.Errorf("per-level span leaked into the stage labels:\n%s",
+			grepLine(text, "multilevel/level"))
+	}
+}
+
+// stageCounts parses the dpplace_stage_seconds_count children of an
+// exposition, keyed by stage label.
+func stageCounts(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, l := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(l, `dpplace_stage_seconds_count{stage="`)
+		if !ok {
+			continue
+		}
+		stage, val, ok := strings.Cut(rest, `"} `)
+		if !ok {
+			t.Fatalf("malformed stage count line %q", l)
+		}
+		n, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("stage count line %q: %v", l, err)
+		}
+		out[stage] = n
+	}
+	return out
+}
+
+// TestHealthEventsCountFallbackRollbacks pins the fleet health series to the
+// job's run report on the solve that exercises them all: a structure-aware
+// job whose gradient is poisoned twice diverges twice (two rollbacks, two
+// re-anneals), dissolves its groups and reruns the baseline formulation.
+// The rerun's own diagnostics are clean, so the series must come from the
+// per-event counters of the whole attempt, not from the rerun's result.
+func TestHealthEventsCountFallbackRollbacks(t *testing.T) {
+	faultinject.Enable(7, faultinject.Spec{Site: faultinject.SiteOptNaNGrad, Count: 2})
+	defer faultinject.Disable()
+
+	reg := obsmetrics.NewRegistry()
+	s := newServer(t, Config{Workers: 1, Metrics: reg})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.Start()
+
+	v, err := s.Submit(&JobSpec{
+		Name: "fallback",
+		Gen: &GenSpec{
+			Seed: 41, Bits: 8, Units: []string{"adder", "muxtree"},
+			RandomCells: 300, Pads: 12,
+		},
+		Options: SpecOptions{Outer: 4, Inner: 10, Workers: 1},
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if got := waitTerminal(t, s, v.ID, 60*time.Second); got.State != StateDone {
+		t.Fatalf("job ended %s (%s), want done", got.State, got.Error)
+	}
+	waitIdle(t, s, 10*time.Second)
+	text := scrape(t, ts.URL)
+
+	repB, err := os.ReadFile(filepath.Join(s.JobDir(v.ID), "report.json"))
+	if err != nil {
+		t.Fatalf("report artifact: %v", err)
+	}
+	var rep obs.RunReport
+	if err := json.Unmarshal(repB, &rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		series string
+		want   int64
+		report int64
+	}{
+		{`dpplace_health_events_total{kind="rollbacks"}`, 2, rep.Counters["global/outer-rollback"]},
+		{`dpplace_health_events_total{kind="re_anneals"}`, 2, rep.Counters["global/re-anneal"]},
+		{`dpplace_health_events_total{kind="baseline_reruns"}`, 1, rep.Counters["global/baseline_reruns"]},
+		{`dpplace_degradations_total`, 1, int64(len(rep.Degradations))},
+	} {
+		if c.report != c.want {
+			t.Errorf("report value behind %s = %d, want %d", c.series, c.report, c.want)
+		}
+		if line := fmt.Sprintf("\n%s %d\n", c.series, c.want); !strings.Contains(text, line) {
+			t.Errorf("exposition missing %q:\n%s", line, grepLine(text, c.series))
+		}
 	}
 }
 

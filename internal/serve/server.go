@@ -917,12 +917,16 @@ func (s *Server) place(ctx context.Context, job *Job, spec *JobSpec, workers, re
 			metrics.Options{Obs: rec, Workers: workers})
 		mrep = &r
 	}
-	// Fold this attempt's solver health counters into the fleet registry
-	// before snapshotting, so the report's metrics_snapshot includes the work
-	// it describes.
-	s.metrics.foldRecorder(rec)
-	snapshot := s.cfg.Metrics.Snapshot()
-	if err := writeJobReport(filepath.Join(dir, "report.json"), d.Netlist.Name, opt.Mode, res, mrep, runErr, rec, snapshot); err != nil {
+	// The same run report dpplace -report writes. Fold it into the fleet
+	// registry before snapshotting, so the report's metrics_snapshot
+	// includes the work it describes.
+	rep := res.RunReport(d.Netlist.Name, opt.Mode, pipeline.Classify(runErr), rec)
+	if mrep != nil {
+		rep.Metrics = mrep
+	}
+	s.metrics.foldReport(rep)
+	rep.MetricsSnapshot = s.cfg.Metrics.Snapshot()
+	if err := obs.WriteReportFile(filepath.Join(dir, "report.json"), rep); err != nil {
 		s.log.Logf(obs.Warn, "serve", "job %s: %v", job.ID, err)
 	}
 	if res.LegalityChecked {

@@ -166,7 +166,8 @@ func (d *daemon) job(id string) (jobView, bool) {
 }
 
 // coreSeries are the /metrics series whose presence phase 1 asserts after
-// one completed job.
+// one completed job. The place and metrics stage buckets are fed only by the
+// recorder's span hook, so their +Inf count of 1 proves the hook end to end.
 var coreSeries = []string{
 	`dpplaced_jobs_total{state="done"} 1`,
 	`dpplaced_jobs_total{state="queued"} 1`,
@@ -179,6 +180,8 @@ var coreSeries = []string{
 	`dpplaced_admission_rejects_total{reason="queue_full"} 0`,
 	`dpplaced_par_budget_workers 2`,
 	`dpplace_stage_seconds_bucket{stage="global",le=`,
+	`dpplace_stage_seconds_bucket{stage="place",le="+Inf"} 1`,
+	`dpplace_stage_seconds_bucket{stage="metrics",le="+Inf"} 1`,
 	`dpplace_health_events_total{kind="rollbacks"}`,
 }
 

@@ -1,3 +1,17 @@
+// Package wirelength provides the smooth wirelength models of analytical
+// placement — the classic log-sum-exp (LSE) model and the weighted-average
+// (WA) model of Hsu, Balabanov and Chang, which this paper family introduced
+// and prefers — as flat structure-of-arrays (SoA) kernels over CSR pin
+// buffers.
+//
+// Both models are separable per axis. Smaller smoothing parameter γ means a
+// tighter approximation but a harder optimization landscape; placers anneal
+// γ downward. The kernels — WAValueAxis, WAGradAxis, LSEValueAxis,
+// LSEGradAxis, with the per-net AxisState summary — write the per-pin
+// exponential terms into caller-owned buffers so the global-placement engine
+// can store them and later produce gradients without re-exponentiating. The
+// package tests keep a per-net Model form of each model (and of the exact
+// HPWL) as the reference oracle the kernels must match bit for bit.
 package wirelength
 
 import "math"
@@ -6,7 +20,7 @@ import "math"
 
 // The SoA kernels below are the flat, allocation-free form of the LSE and WA
 // models used by the global-placement engine's incremental evaluator
-// (internal/place/global). Where the Model interface owns its scratch, these
+// (internal/place/global). Where the reference Model owns its scratch, these
 // kernels write into caller-owned CSR slices so one evaluation's exponential
 // terms can be kept and reused by a later gradient-only pass:
 //
@@ -17,7 +31,7 @@ import "math"
 //     into per-pin gradients without a single math.Exp call.
 //
 // Every kernel is a pure function of its arguments with a fixed operation
-// order, so results are bit-identical to the corresponding Model.EvalAxis
+// order, so results are bit-identical to the reference Model.EvalAxis
 // and independent of worker count. Two-pin nets (the majority in real
 // netlists) take a single-exponential fast path that produces the same bits
 // as the general loop because both pins share the exponent arguments 0 and

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	dpplace "repro"
+	"repro/internal/pipeline"
 	"repro/internal/place/congestion"
 	"repro/internal/place/global"
 )
@@ -201,41 +202,95 @@ func TestWorkersBitIdenticalCongestion(t *testing.T) {
 }
 
 // TestCollectModeReport asserts -report-style collection works without a
-// trace sink: counters and trajectory aggregate in memory.
+// trace sink — counters and trajectory aggregate in memory — and pins the
+// shape of the run report core builds from them, on a flat run with the
+// congestion loop engaged and on a multilevel run: no report field or
+// counter repeats another, and the kept blocks agree with the counters.
 func TestCollectModeReport(t *testing.T) {
-	rec := dpplace.NewRecorder()
-	rec.Collect()
-	res := goldenPlace(t, dpplace.WithRecorder(context.Background(), rec))
+	for _, tc := range []struct {
+		name string
+		opt  dpplace.Options
+	}{
+		{"flat-congestion", dpplace.Options{
+			Mode: dpplace.StructureAware,
+			Global: global.Options{Congestion: congestion.Options{
+				Enable: true, SnapshotOnEntry: true, MaxDensOverflow: 100, Capacity: 0.02,
+			}},
+		}},
+		{"multilevel", dpplace.Options{
+			Mode:           dpplace.StructureAware,
+			Multilevel:     true,
+			MultilevelOpts: dpplace.MultilevelOptions{MinCells: 100},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := dpplace.NewRecorder()
+			rec.Collect()
+			bench := goldenBench()
+			res, runErr := dpplace.PlaceCtx(dpplace.WithRecorder(context.Background(), rec),
+				bench.Netlist, bench.Core, bench.Placement, tc.opt)
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			if len(rec.Trajectory()) == 0 {
+				t.Error("collect mode gathered no trajectory")
+			}
+			cs := rec.Counters()
+			if cs["extract/groups"] == 0 || cs["global/outer_iters"] == 0 {
+				t.Errorf("extract/groups or global/outer_iters counter missing: %v", cs)
+			}
 
-	if len(rec.Trajectory()) == 0 {
-		t.Error("collect mode gathered no trajectory")
-	}
-	cs := rec.Counters()
-	if len(cs) == 0 {
-		t.Fatal("collect mode gathered no counters")
-	}
-	if cs["extract/groups"] == 0 {
-		t.Errorf("extract/groups counter missing: %v", cs)
-	}
-	if cs["global/outer_iters"] == 0 {
-		t.Errorf("global/outer_iters counter missing: %v", cs)
-	}
+			rep := res.RunReport("golden", tc.opt.Mode, pipeline.Classify(runErr), rec)
+			b, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(b, &fields); err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range []string{"dirty_net_ratio", "full_recomputes", "delta_recomputes"} {
+				if _, ok := fields[key]; ok {
+					t.Errorf("report carries deleted field %q", key)
+				}
+			}
+			for _, key := range []string{
+				"global/levels", "global/coarsest_cells", "global/rollbacks", "global/re_anneals",
+				"global/congestion_snapshots", "global/congestion_inflated_cells",
+			} {
+				if _, ok := rep.Counters[key]; ok {
+					t.Errorf("report carries deleted counter %q", key)
+				}
+			}
+			for _, key := range []string{"global/net_recomputes", "global/net_reuses", "global/evals_full"} {
+				if rep.Counters[key] == 0 {
+					t.Errorf("report lacks incremental-evaluation counter %q", key)
+				}
+			}
 
-	rep := &dpplace.RunReport{
-		Design: "golden", Mode: "structure-aware", Exit: "ok",
-		Counters:   cs,
-		Trajectory: rec.Trajectory(),
-	}
-	rep.HPWL.Final = res.Placement.HPWL(goldenBench().Netlist)
-	b, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back dpplace.RunReport
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Design != "golden" || len(back.Trajectory) != len(rep.Trajectory) {
-		t.Fatalf("run report did not round-trip: %+v", back)
+			var back dpplace.RunReport
+			if err := json.Unmarshal(b, &back); err != nil {
+				t.Fatal(err)
+			}
+			if back.Design != "golden" || back.Exit != pipeline.Classify(runErr) ||
+				len(back.Trajectory) != len(rec.Trajectory()) ||
+				back.HPWL.Final != res.HPWLFinal {
+				t.Fatalf("run report did not round-trip: %+v", back)
+			}
+			if tc.opt.Multilevel {
+				if back.Levels < 2 || int64(back.Levels) != back.Counters["multilevel/levels"] {
+					t.Errorf("levels %d, multilevel/levels counter %d: want equal and ≥ 2",
+						back.Levels, back.Counters["multilevel/levels"])
+				}
+			} else {
+				var cong map[string]json.RawMessage
+				if err := json.Unmarshal(fields["congestion"], &cong); err != nil {
+					t.Fatalf("report congestion block: %v", err)
+				}
+				if _, ok := cong["snapshots"]; !ok || back.Congestion.Snapshots == 0 {
+					t.Errorf("congestion block lacks snapshots: %s", fields["congestion"])
+				}
+			}
+		})
 	}
 }
