@@ -10,7 +10,8 @@ BENCH_DIR ?= /tmp/dpplace-bench
 
 .PHONY: all check fmt fmt-check vet build test race fuzz-smoke cover bench \
 	bench-workers bench-kernels bench-congestion bench-smoke bench-diff \
-	docs-lint lint lint-github lint-selftest metrics-lint serve-smoke
+	docs-lint lint lint-github lint-selftest metrics-lint serve-smoke \
+	perfbench-smoke
 
 all: check
 
@@ -67,8 +68,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# perfbench is a nested module, outside the root ./..., so it is vetted
+# separately.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -197,3 +201,9 @@ serve-smoke:
 	$(GO) build -o /tmp/dpplaced-smoke/dpplaced ./cmd/dpplaced
 	$(GO) run ./internal/tools/servesmoke -bin /tmp/dpplaced-smoke/dpplaced \
 		-data /tmp/dpplaced-smoke/data
+
+# Benchmark smoke: the nested perfbench module (outside the root ./...) runs
+# every workload at tiny sizes, including daemon jobs checked byte-identical
+# against an in-process reference.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...

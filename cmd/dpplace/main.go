@@ -468,9 +468,8 @@ func printSummary(w *os.File, mode core.Mode, res *core.Result, rep *metrics.Rep
 	}
 
 	diag := res.GlobalResult.Diagnostics
-	if diag.Recoveries > 0 || diag.Rollbacks > 0 || diag.ReAnneals > 0 {
-		fmt.Fprintf(w, "recoveries:      %d solver, %d rollbacks, %d re-anneals\n",
-			diag.Recoveries, diag.Rollbacks, diag.ReAnneals)
+	if diag.Recoveries > 0 || diag.Rollbacks > 0 {
+		fmt.Fprintf(w, "recoveries:      %d solver, %d rollbacks\n", diag.Recoveries, diag.Rollbacks)
 	}
 	for _, deg := range res.Degradations {
 		if deg.Group >= 0 {

@@ -8,13 +8,13 @@
 // disabled, so measured differences isolate structure-awareness — the
 // evaluation protocol of the paper.
 //
-// The pipeline is resilient. Wall-clock budgets (whole-flow and per-stage)
-// are enforced cooperatively; on expiry Place returns the best iterate found
-// so far with Result.Partial set and an error wrapping pipeline.ErrTimeout,
-// instead of nothing. Degenerate extraction output and repeatedly diverging
-// structure-aware solves degrade gracefully to the baseline flow for the
-// affected groups (policy-controlled via Options.OnDegrade), recording what
-// happened in Result.Degradations.
+// The pipeline is resilient. The wall-clock budget (Options.Timeout) is
+// enforced cooperatively inside every stage; on expiry Place returns the best
+// iterate found so far with Result.Partial set and an error wrapping
+// pipeline.ErrTimeout, instead of nothing. Degenerate extraction output and
+// repeatedly diverging structure-aware solves degrade gracefully to the
+// baseline flow for the affected groups (policy-controlled via
+// Options.OnDegrade), recording what happened in Result.Degradations.
 package core
 
 import (
@@ -84,20 +84,10 @@ type Options struct {
 	// Global placement parameters. Mode-driven fields (Groups) are set by
 	// the pipeline.
 	Global global.Options
-	// DetailPasses is the number of detailed-placement sweeps (default 2;
-	// -1 disables detailed placement).
-	DetailPasses int
-	// SkipLegalize stops after global placement (for convergence studies).
-	SkipLegalize bool
 	// Timeout bounds the whole pipeline's wall clock (0 = none). On expiry
 	// Place returns the best iterate so far with Result.Partial set and an
 	// error wrapping ErrTimeout.
 	Timeout time.Duration
-	// Budgets optionally bounds individual stages the same way (zero fields
-	// = unbounded). Global, legalization and detailed placement are
-	// preempted cooperatively inside their iteration loops; extraction is
-	// checked at the stage boundary.
-	Budgets StageTimes
 	// OnDegrade selects the reaction to degenerate extracted groups and to
 	// a structure-aware solve that repeatedly fails numerical-health checks
 	// (default DegradeFallback).
@@ -113,9 +103,12 @@ type Options struct {
 	MultilevelOpts multilevel.Options
 }
 
-// StageTimes records a wall-clock duration per pipeline stage. It is used
-// both for reporting elapsed times (Result.Times) and for configuring stage
-// budgets (Options.Budgets).
+// detailPasses is the number of detailed-placement sweeps, shared by the
+// generic moves and the structure-preserving column swaps.
+const detailPasses = 2
+
+// StageTimes records the wall-clock duration of each pipeline stage
+// (Result.Times).
 type StageTimes struct {
 	Extract  time.Duration
 	Global   time.Duration
@@ -164,20 +157,17 @@ type Result struct {
 
 // Place runs the pipeline on a netlist. initial provides fixed-cell
 // positions and the starting point for movables; it is not modified. The
-// returned placement is legal (unless SkipLegalize).
+// returned placement is legal.
 func Place(nl *netlist.Netlist, chip *geom.Core, initial *netlist.Placement, opt Options) (*Result, error) {
 	return PlaceCtx(context.Background(), nl, chip, initial, opt)
 }
 
 // PlaceCtx is Place with cooperative cancellation: the context (further
-// bounded by Options.Timeout and Options.Budgets) is threaded through every
-// stage down to the inner solver iterations. On expiry the returned Result
-// is non-nil, carries the best iterate found so far with Partial set, and
-// the error wraps ErrTimeout.
+// bounded by Options.Timeout) is threaded through every stage down to the
+// inner solver iterations. On expiry the returned Result is non-nil, carries
+// the best iterate found so far with Partial set, and the error wraps
+// ErrTimeout.
 func PlaceCtx(ctx context.Context, nl *netlist.Netlist, chip *geom.Core, initial *netlist.Placement, opt Options) (*Result, error) {
-	if opt.DetailPasses == 0 {
-		opt.DetailPasses = 2
-	}
 	ctx, cancel := pipeline.WithBudget(ctx, opt.Timeout)
 	defer cancel()
 
@@ -254,16 +244,14 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, chip *geom.Core, initial
 	// runGlobal dispatches the global-placement stage: the flat analytical
 	// engine, or the multilevel V-cycle wrapping it level by level.
 	runGlobal := func(gOpt global.Options, groups []global.AlignGroup) (global.Result, error) {
-		gctx, gcancel := pipeline.WithBudget(ctx, opt.Budgets.Global)
-		defer gcancel()
 		if !opt.Multilevel {
 			gOpt.Groups = groups
-			return global.PlaceCtx(gctx, nl, pl, chip, gOpt)
+			return global.PlaceCtx(ctx, nl, pl, chip, gOpt)
 		}
 		mo := opt.MultilevelOpts
 		mo.Global = gOpt
 		mo.Groups = groups
-		mlRes, mlErr := multilevel.PlaceCtx(gctx, nl, pl, chip, mo)
+		mlRes, mlErr := multilevel.PlaceCtx(ctx, nl, pl, chip, mo)
 		res.Multilevel = &mlRes
 		return mlRes.Global, mlErr
 	}
@@ -277,6 +265,7 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, chip *geom.Core, initial
 		// engine already rolled back and re-annealed in between). Dissolve
 		// the groups and rerun the plain baseline formulation from the
 		// caller's initial state — a worse but well-conditioned problem.
+		// The diverged attempt's health events stay in the diagnostics.
 		reason := "hard-alignment solve diverged twice; groups dissolved"
 		res.Degradations = append(res.Degradations, Degradation{
 			Stage: "global", Group: -1, Reason: reason,
@@ -287,9 +276,17 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, chip *geom.Core, initial
 		copy(pl.X, initial.X)
 		copy(pl.Y, initial.Y)
 		groups = nil
+		failed := gRes.Diagnostics
 		sw = obs.StartStopwatch()
 		gRes, err = runGlobal(opt.Global, nil)
 		res.Times.Global += sw.Elapsed()
+		gRes.Diagnostics.Recoveries += failed.Recoveries
+		gRes.Diagnostics.Rollbacks += failed.Rollbacks
+	}
+	if ml := res.Multilevel; ml != nil {
+		// Recorded once, from the V-cycle that produced the placement.
+		rec.Add("multilevel/levels", int64(ml.Levels))
+		rec.Add("multilevel/coarsest_cells", int64(ml.CoarsestCells))
 	}
 	gSpan.Add("outer_iters", int64(gRes.OuterIters))
 	gSpan.Add("func_evals", int64(gRes.FuncEvals))
@@ -306,16 +303,9 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, chip *geom.Core, initial
 	}
 	res.HPWLGlobal = pl.HPWL(nl)
 
-	if opt.SkipLegalize {
-		res.HPWLFinal = res.HPWLGlobal
-		return res, nil
-	}
-
 	lSpan := root.Child("legalize")
-	lctx, lcancel := pipeline.WithBudget(ctx, opt.Budgets.Legalize)
 	sw = obs.StartStopwatch()
-	lRes, err := legal.LegalizeCtx(lctx, nl, pl, chip, legal.Options{Groups: groups})
-	lcancel()
+	lRes, err := legal.LegalizeCtx(ctx, nl, pl, chip, legal.Options{Groups: groups})
 	res.Times.Legalize = sw.Elapsed()
 	res.LegalResult = lRes
 	lSpan.Add("group_blocks", int64(lRes.GroupBlocks))
@@ -342,28 +332,24 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, chip *geom.Core, initial
 	rec.Logf(obs.Debug, "legalize", "done: HPWL %.0f, displacement total %.0f max %.0f, %d blocks",
 		res.HPWLLegal, lRes.TotalDisplacement, lRes.MaxDisplacement, lRes.GroupBlocks)
 
-	if opt.DetailPasses > 0 {
-		dSpan := root.Child("detail")
-		dctx, dcancel := pipeline.WithBudget(ctx, opt.Budgets.Detail)
-		sw = obs.StartStopwatch()
-		// Group cells are locked against generic moves; their stage order
-		// is optimized by the structure-preserving column swaps instead.
-		res.DetailResult = detail.Improve(nl, pl, chip, detail.Options{
-			Locked: detail.LockedFromGroups(nl.NumCells(), groups),
-			Passes: opt.DetailPasses,
-			Ctx:    dctx,
-		})
-		if len(groups) > 0 && !pipeline.Expired(dctx) {
-			res.ColumnSwaps = detail.ImproveColumns(nl, pl, groups, opt.DetailPasses)
-		}
-		dcancel()
-		res.Times.Detail = sw.Elapsed()
-		dSpan.Add("moves", int64(res.DetailResult.Moves))
-		dSpan.Add("column_swaps", int64(res.ColumnSwaps))
-		dSpan.End()
-		if res.DetailResult.Partial {
-			res.Partial = true
-		}
+	dSpan := root.Child("detail")
+	sw = obs.StartStopwatch()
+	// Group cells are locked against generic moves; their stage order is
+	// optimized by the structure-preserving column swaps instead.
+	res.DetailResult = detail.Improve(nl, pl, chip, detail.Options{
+		Locked: detail.LockedFromGroups(nl.NumCells(), groups),
+		Passes: detailPasses,
+		Ctx:    ctx,
+	})
+	if len(groups) > 0 && !pipeline.Expired(ctx) {
+		res.ColumnSwaps = detail.ImproveColumns(nl, pl, groups, detailPasses)
+	}
+	res.Times.Detail = sw.Elapsed()
+	dSpan.Add("moves", int64(res.DetailResult.Moves))
+	dSpan.Add("column_swaps", int64(res.ColumnSwaps))
+	dSpan.End()
+	if res.DetailResult.Partial {
+		res.Partial = true
 	}
 	res.HPWLFinal = pl.HPWL(nl)
 	rec.Logf(obs.Debug, "core", "final HPWL %.0f (global %.0f, legal %.0f)",

@@ -79,29 +79,11 @@ func TestPipelineStructureAwareBeatsBaselineOnAlignment(t *testing.T) {
 	}
 }
 
-func TestPipelineSkipLegalize(t *testing.T) {
-	b := pipelineBench(t)
-	res, err := core.Place(b.Netlist, b.Core, b.Placement, core.Options{
-		Mode:         core.Baseline,
-		SkipLegalize: true,
-		Global:       globalFast(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LegalityChecked {
-		t.Error("skip-legalize should not check legality")
-	}
-	if res.HPWLFinal != res.HPWLGlobal {
-		t.Error("final HPWL should equal global HPWL when legalization skipped")
-	}
-}
-
 func TestPipelineInitialNotMutated(t *testing.T) {
 	b := pipelineBench(t)
 	before := b.Placement.Clone()
 	if _, err := core.Place(b.Netlist, b.Core, b.Placement, core.Options{
-		Mode: core.Baseline, Global: globalFast(), SkipLegalize: true,
+		Mode: core.Baseline, Global: globalFast(),
 	}); err != nil {
 		t.Fatal(err)
 	}

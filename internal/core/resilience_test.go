@@ -14,6 +14,7 @@ import (
 	"repro/internal/bookshelf"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 )
 
 // fastOpts keeps the fault-injection runs quick while still exercising the
@@ -77,12 +78,49 @@ func TestGlobalDivergenceFallback(t *testing.T) {
 	if !found {
 		t.Errorf("no global-stage degradation recorded; got %v", res.Degradations)
 	}
-	if res.GlobalResult.Diagnostics.Rollbacks != 0 || res.GlobalResult.Diagnostics.ReAnneals != 0 {
-		// GlobalResult holds the rerun's diagnostics; the rerun is clean.
-		t.Errorf("rerun diagnostics not clean: %+v", res.GlobalResult.Diagnostics)
+	if got := res.GlobalResult.Diagnostics.Rollbacks; got != 2 {
+		// The rerun is clean; the diverged attempt's two rollbacks carry over.
+		t.Errorf("Rollbacks = %d, want the diverged attempt's 2: %+v", got, res.GlobalResult.Diagnostics)
 	}
 	if !res.LegalityChecked {
 		t.Error("fallback placement was not verified legal")
+	}
+}
+
+// TestMultilevelFallbackCountsLevelsOnce takes the same fallback on a
+// multilevel run: the diverged V-cycle and the baseline rerun each build a
+// hierarchy, but the multilevel counters describe only the one that
+// produced the placement, as the report's levels does.
+func TestMultilevelFallbackCountsLevelsOnce(t *testing.T) {
+	// Count 2: the coarsest level's first two inner solves diverge
+	// immediately, so the V-cycle gives up before reaching a finer level.
+	faultinject.Enable(7, faultinject.Spec{
+		Site: faultinject.SiteOptNaNGrad, Count: 2,
+	})
+	defer faultinject.Disable()
+
+	b := pipelineBench(t)
+	opt := fastOpts()
+	opt.Multilevel = true
+	opt.MultilevelOpts.MinCells = 100
+	rec := obs.New()
+	rec.Collect()
+	res, err := core.PlaceCtx(obs.NewContext(context.Background(), rec), b.Netlist, b.Core, b.Placement, opt)
+	if err != nil {
+		t.Fatalf("fallback rerun failed: %v", err)
+	}
+	if len(res.Degradations) == 0 || res.Degradations[len(res.Degradations)-1].Stage != "global" {
+		t.Fatalf("run did not take the global fallback: %v", res.Degradations)
+	}
+	rep := res.RunReport("pipe", opt.Mode, "ok", rec)
+	if rep.Levels < 2 {
+		t.Fatalf("report levels = %d, want a real V-cycle", rep.Levels)
+	}
+	if got := rep.Counters["multilevel/levels"]; got != int64(rep.Levels) {
+		t.Errorf("multilevel/levels = %d, want the report's %d", got, rep.Levels)
+	}
+	if got, want := rep.Counters["multilevel/coarsest_cells"], int64(res.Multilevel.CoarsestCells); got != want {
+		t.Errorf("multilevel/coarsest_cells = %d, want %d", got, want)
 	}
 }
 
@@ -139,21 +177,6 @@ func TestDeadlineInjection(t *testing.T) {
 	}
 	if res == nil || !res.Partial {
 		t.Fatal("injected deadline did not produce a partial result")
-	}
-}
-
-// TestStageBudget bounds only the global stage and expects the same partial
-// semantics as a whole-pipeline timeout.
-func TestStageBudget(t *testing.T) {
-	b := pipelineBench(t)
-	opt := fastOpts()
-	opt.Budgets.Global = time.Millisecond
-	res, err := core.Place(b.Netlist, b.Core, b.Placement, opt)
-	if !errors.Is(err, core.ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if res == nil || !res.Partial {
-		t.Fatal("stage budget expiry did not produce a partial result")
 	}
 }
 
@@ -248,30 +271,5 @@ func TestTruncatedInput(t *testing.T) {
 	}
 	if faultinject.Fired(faultinject.SiteBookshelfTruncate) == 0 {
 		t.Fatal("truncation never fired; test exercises nothing")
-	}
-}
-
-// TestDetailPassesDisabled covers DetailPasses == -1: legalization output is
-// final, untouched by detailed placement.
-func TestDetailPassesDisabled(t *testing.T) {
-	b := pipelineBench(t)
-	opt := fastOpts()
-	opt.DetailPasses = -1
-	res, err := core.Place(b.Netlist, b.Core, b.Placement, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HPWLFinal != res.HPWLLegal {
-		t.Errorf("HPWLFinal = %g differs from HPWLLegal = %g with detail disabled",
-			res.HPWLFinal, res.HPWLLegal)
-	}
-	if res.DetailResult.Moves != 0 {
-		t.Errorf("detail recorded %d moves while disabled", res.DetailResult.Moves)
-	}
-	if res.ColumnSwaps != 0 {
-		t.Errorf("column swaps = %d while detail disabled", res.ColumnSwaps)
-	}
-	if !res.LegalityChecked {
-		t.Error("placement not verified legal")
 	}
 }

@@ -54,12 +54,16 @@ func (e *Extraction) NumGrouped() int {
 	return n
 }
 
+// Fixed extraction limits.
+const (
+	maxBusBits    = 512 // widest structural bus considered
+	maxDataFanout = 12  // nets wider than this are control, not data
+)
+
 // Options controls extraction.
 type Options struct {
 	MinBits       int  // minimum bus width / slice count (default 4)
 	MinStages     int  // minimum columns per group (default 2)
-	MaxBusBits    int  // widest structural bus considered (default 512)
-	MaxFanout     int  // nets wider than this are control, not data (default 12)
 	UseNames      bool // infer buses from net names (default on via DefaultOptions)
 	UseStructural bool // infer buses from net signatures
 }
@@ -73,8 +77,6 @@ func DefaultOptions() Options {
 	return Options{
 		MinBits:       4,
 		MinStages:     3,
-		MaxBusBits:    512,
-		MaxFanout:     12,
 		UseNames:      true,
 		UseStructural: true,
 	}
@@ -86,12 +88,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MinStages <= 0 {
 		o.MinStages = 2
-	}
-	if o.MaxBusBits <= 0 {
-		o.MaxBusBits = 512
-	}
-	if o.MaxFanout <= 0 {
-		o.MaxFanout = 12
 	}
 }
 
@@ -122,7 +118,7 @@ func Extract(nl *netlist.Netlist, opt Options) *Extraction {
 	}
 	if opt.UseStructural {
 		netSigs := NetSigs(nl, ex.cellSigs)
-		buses = append(buses, StructuralBuses(nl, netSigs, opt.MinBits, opt.MaxBusBits)...)
+		buses = append(buses, StructuralBuses(nl, netSigs, opt.MinBits, maxBusBits)...)
 	}
 	// Wider buses first: they anchor the most regular structure.
 	sort.SliceStable(buses, func(a, b int) bool { return buses[a].Bits() > buses[b].Bits() })
@@ -166,7 +162,7 @@ func Extract(nl *netlist.Netlist, opt Options) *Extraction {
 		}
 		selected = ex.foldGroups(selected)
 		ex.regrow(selected)
-		selected = mergeGroups(nl, selected, opt.MaxFanout)
+		selected = mergeGroups(nl, selected, maxDataFanout)
 		ex.regrow(selected)
 
 		// Confidence filter: groups still shallower than MinStages after
@@ -442,7 +438,7 @@ func (ex *extractor) continuations(col []netlist.CellID, tentative map[netlist.C
 			// Lock-step requires per-bit, same-shape nets: distinct (shared
 			// = control), equal degree (unequal = boundary or coincidence),
 			// and narrow enough to be data.
-			if seenNet[ni] || deg != wantDeg || deg > ex.opt.MaxFanout {
+			if seenNet[ni] || deg != wantDeg || deg > maxDataFanout {
 				ok = false
 				break
 			}

@@ -118,10 +118,9 @@ type Potential struct {
 	dens   []float64 // scratch: per-bin spread density D_b
 	diff   []float64 // scratch: D_b − T_b
 
-	// Congestion-feedback modulation (SetAreaScale / SetTargetScale).
-	// Both are caller-owned views; nil means identity.
-	areaScale []float64 // per-cell area multiplier, indexed by CellID
-	tscale    []float64 // per-bin target multiplier, Grid.Index order
+	// Congestion-feedback inflation (SetAreaScale): a caller-owned
+	// per-cell area multiplier, indexed by CellID; nil means identity.
+	areaScale []float64
 
 	// Parallel execution state (SetParallel). pool == nil runs inline.
 	pool *par.Pool
@@ -283,16 +282,6 @@ func effSize(w, wb float64) float64 {
 // Grid returns the potential's bin grid.
 func (p *Potential) Grid() geom.Grid { return p.grid }
 
-// TargetArea returns the target area of bin idx (after blockage reduction and
-// any SetTargetScale modulation).
-func (p *Potential) TargetArea(idx int) float64 {
-	t := p.target[idx]
-	if p.tscale != nil {
-		t *= p.tscale[idx]
-	}
-	return t
-}
-
 // SetAreaScale installs a per-cell area multiplier, indexed by CellID (nil
 // restores the identity). The congestion controller inflates cells in
 // over-demand bins this way: the scaled area enters only the kernel
@@ -303,9 +292,3 @@ func (p *Potential) TargetArea(idx int) float64 {
 // density values or gradients (the placement engine) must invalidate those
 // caches themselves.
 func (p *Potential) SetAreaScale(scale []float64) { p.areaScale = scale }
-
-// SetTargetScale installs a per-bin target multiplier in Grid.Index order
-// (nil restores the identity). Scaled targets lower T_b under hot bins so the
-// spreader evacuates them. Ownership and cache-invalidation obligations match
-// SetAreaScale.
-func (p *Potential) SetTargetScale(ts []float64) { p.tscale = ts }

@@ -239,10 +239,10 @@ func TestPotentialFixedBlockageReducesTarget(t *testing.T) {
 	pl.SetLoc(0, geom.Point{X: 0, Y: 0})
 	g := geom.NewGrid(geom.NewRect(0, 0, 100, 100), 10, 10)
 	p := NewPotential(nl, pl, g, 1.0)
-	if got := p.TargetArea(g.Index(0, 0)); got != 0 {
+	if got := p.target[g.Index(0, 0)]; got != 0 {
 		t.Errorf("blocked bin target = %g, want 0", got)
 	}
-	if got := p.TargetArea(g.Index(5, 5)); got != 100 {
+	if got := p.target[g.Index(5, 5)]; got != 100 {
 		t.Errorf("free bin target = %g, want 100", got)
 	}
 }

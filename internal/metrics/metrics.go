@@ -27,11 +27,15 @@ type Report struct {
 	Routed route.GRouteResult
 }
 
+// The evaluation grid and wire model: RUDY, utilization and the global
+// router all use a gridDim×gridDim grid and unit-width wires.
+const (
+	gridDim   = 32
+	wireWidth = 1.0
+)
+
 // Options tunes evaluation.
 type Options struct {
-	GridDim   int     // congestion/utilization grid (default 32)
-	WireWidth float64 // RUDY wire width (default 1)
-	Capacity  float64 // RUDY capacity per unit area (default derived: 0.15)
 	// RouteCapacityFactor scales the global router's edge capacities.
 	// The default 0.8 is calibrated so the baseline flow is marginally
 	// routable on the suite's mid-size designs (peak usage ≈ 1.2–1.5):
@@ -49,26 +53,15 @@ type Options struct {
 
 // Evaluate computes the report for a placement.
 func Evaluate(nl *netlist.Netlist, pl *netlist.Placement, chip *geom.Core, opt Options) Report {
-	if opt.GridDim <= 0 {
-		opt.GridDim = 32
-	}
-	if opt.WireWidth <= 0 {
-		opt.WireWidth = 1
-	}
-	if opt.Capacity <= 0 {
-		// A fixed default keeps congestion comparable across placers on the
-		// same design; the absolute value only scales the numbers.
-		opt.Capacity = 0.15
-	}
 	sp := opt.Obs.Span("metrics")
 	defer sp.End()
 
 	pool := par.New(opt.Workers)
-	grid := geom.NewGrid(chip.Region, opt.GridDim, opt.GridDim)
+	grid := geom.NewGrid(chip.Region, gridDim, gridDim)
 	rudySpan := sp.Child("rudy")
 	cm := route.RUDYPool(context.Background(), pool, nl, pl, grid, route.RUDYOptions{
-		WireWidth: opt.WireWidth,
-		Capacity:  opt.Capacity,
+		WireWidth: wireWidth,
+		Capacity:  route.CalibratedCapacity,
 	})
 	rudySpan.End()
 	if opt.RouteCapacityFactor <= 0 {
@@ -77,7 +70,7 @@ func Evaluate(nl *netlist.Netlist, pl *netlist.Placement, chip *geom.Core, opt O
 	// The router pulls the recorder from its context, nesting its own span.
 	gr := route.GlobalRouteCtx(obs.NewContext(context.Background(), opt.Obs),
 		nl, pl, chip.Region, route.GRouteOptions{
-			NX: opt.GridDim, NY: opt.GridDim, WirePitch: opt.WireWidth,
+			NX: gridDim, NY: gridDim, WirePitch: wireWidth,
 			CapacityFactor: opt.RouteCapacityFactor,
 		})
 	stSpan := sp.Child("steiner")

@@ -20,6 +20,11 @@ import (
 	"repro/internal/pipeline"
 )
 
+// maxRecoveries bounds consecutive numerical-health recoveries (NaN/Inf
+// rollback, pathological line-search reset) before Minimize gives up and
+// reports Diverged.
+const maxRecoveries = 3
+
 // Func evaluates an objective at x, fills grad (same length as x) with its
 // gradient, and returns the objective value.
 type Func func(x, grad []float64) float64
@@ -36,10 +41,6 @@ type Options struct {
 	// every line-search trial; on expiry Minimize stops at the best iterate
 	// found so far and sets Result.Stopped.
 	Ctx context.Context
-	// MaxRecoveries bounds consecutive numerical-health recoveries
-	// (NaN/Inf rollback, pathological line-search reset) before Minimize
-	// gives up and reports Diverged (default 3).
-	MaxRecoveries int
 	// OnEvent, when non-nil, observes solver health events — rollbacks,
 	// line-search resets, CG restarts, divergence. Callback sees only
 	// accepted iterates, so without this hook a diverged-then-recovered
@@ -66,7 +67,7 @@ const (
 	// EventCGRestart: the conjugate direction stopped being a descent
 	// direction and the search restarted with steepest descent.
 	EventCGRestart = "cg-restart"
-	// EventDiverged: the health guard exhausted MaxRecoveries and gave up.
+	// EventDiverged: the health guard exhausted maxRecoveries and gave up.
 	EventDiverged = "diverged"
 )
 
@@ -87,7 +88,7 @@ type Result struct {
 	Converged  bool    // gradient tolerance reached
 	FuncEvals  int     // objective evaluations including line search
 	Stopped    bool    // context expired before convergence or MaxIter
-	Diverged   bool    // health guard exhausted MaxRecoveries
+	Diverged   bool    // health guard exhausted maxRecoveries
 	Recoveries int     // rollback/damping events performed by the guard
 }
 
@@ -106,9 +107,6 @@ func Minimize(f Func, x []float64, opt Options) Result {
 	}
 	if opt.StepInit <= 0 {
 		opt.StepInit = 1
-	}
-	if opt.MaxRecoveries <= 0 {
-		opt.MaxRecoveries = 3
 	}
 
 	g := make([]float64, n)     // current gradient
@@ -149,7 +147,7 @@ func Minimize(f Func, x []float64, opt Options) Result {
 		// the search direction. Roll back to the best iterate (re-evaluating
 		// its gradient), damp the step and restart with steepest descent.
 		if !isFinite(fx) || !isFinite(gg) {
-			if !isFinite(bestF) || consecutive >= opt.MaxRecoveries {
+			if !isFinite(bestF) || consecutive >= maxRecoveries {
 				res.Diverged = true
 				if opt.OnEvent != nil {
 					opt.OnEvent(Event{Kind: EventDiverged, Iter: res.Iters,
@@ -238,7 +236,7 @@ func Minimize(f Func, x []float64, opt Options) Result {
 				// The model is returning non-finite values at this scale (or
 				// a stall was injected): recover instead of silently stopping
 				// at a possibly poor iterate.
-				if consecutive >= opt.MaxRecoveries {
+				if consecutive >= maxRecoveries {
 					res.Diverged = pathological
 					if opt.OnEvent != nil && pathological {
 						opt.OnEvent(Event{Kind: EventDiverged, Iter: res.Iters,

@@ -1,10 +1,9 @@
 // Package congestion implements the routability feedback loop of global
 // placement: periodic RUDY snapshots of the evolving placement, a monotone
-// capped cell-inflation schedule for cells sitting in over-demand bins, and
-// optional per-bin density-target modulation. The controller only *decides*
-// (which cells inflate, by how much, when to stop); applying the decision is
-// the engine's job — it feeds Scale/TargetScale to density.Potential and
-// invalidates its own caches (DESIGN.md §15).
+// capped cell-inflation schedule for cells sitting in over-demand bins. The
+// controller only *decides* (which cells inflate, by how much, when to
+// stop); applying the decision is the engine's job — it feeds Scale to
+// density.Potential and invalidates its own caches (DESIGN.md §15).
 //
 // Everything here is deterministic: snapshot cadence depends only on the
 // outer-iteration index, the RUDY estimator is bit-identical at every worker
@@ -24,36 +23,40 @@ import (
 	"repro/internal/route"
 )
 
+// The fixed schedule of the loop.
+const (
+	// snapshotInterval is the outer-iteration cadence: a snapshot fires
+	// every second outer iteration. The maturity gate (MaxDensOverflow)
+	// already delays the first snapshot until late in the λ schedule, so
+	// the cadence within the remaining iterations is tight.
+	snapshotInterval = 2
+	// inflateStep scales the per-snapshot multiplicative growth: a cell in
+	// a bin at twice the hot threshold grows by the full (1+inflateStep)
+	// factor, shallower excesses grow proportionally less. Tuned with
+	// hotQuantile on the seed-7 bench for roughly −19% routed overflow at
+	// under 1% HPWL cost.
+	inflateStep = 0.15
+	// hotQuantile selects hot bins relatively: a bin is hot when its demand
+	// exceeds this quantile of the snapshot's per-bin demand distribution —
+	// the worst 8% of bins, the same tail the ACE metrics watch. Relative
+	// selection is what makes the loop portable: absolute RUDY demand
+	// scales with the capacity calibration, but the hot tail is hot under
+	// any calibration.
+	hotQuantile = 0.92
+	// hotThreshold is an absolute floor under the quantile: bins below this
+	// normalized demand (demand equal to capacity) are never hot, even when
+	// the design is so uncongested that the quantile lands there.
+	hotThreshold = 1.0
+)
+
 // Options configures the feedback loop. The zero value with Enable=false is
 // inert; New applies the documented defaults to zero fields.
 type Options struct {
 	// Enable turns the loop on. All other fields are ignored when false.
 	Enable bool
-	// Interval is the outer-iteration cadence: a snapshot fires every
-	// Interval-th outer iteration (default 2 — the maturity gate below
-	// already delays the first snapshot until late in the λ schedule, so
-	// the cadence within the remaining iterations is tight).
-	Interval int
 	// MaxInflate caps the per-cell area multiplier (default 2.0). The
 	// schedule is monotone non-decreasing and never exceeds this cap.
 	MaxInflate float64
-	// InflateStep scales the per-snapshot multiplicative growth: a cell in
-	// a bin at twice the hot threshold grows by the full (1+InflateStep)
-	// factor, shallower excesses grow proportionally less (default 0.15 —
-	// tuned with HotQuantile on the seed-7 bench for roughly −19% routed
-	// overflow at under 1% HPWL cost).
-	InflateStep float64
-	// HotQuantile selects hot bins relatively: a bin is hot when its demand
-	// exceeds this quantile of the snapshot's per-bin demand distribution
-	// (default 0.92 — the worst 8% of bins, the same tail the ACE metrics
-	// watch). Relative selection is what makes the loop portable: absolute
-	// RUDY demand scales with the capacity calibration, but the hot tail is
-	// hot under any calibration.
-	HotQuantile float64
-	// HotThreshold is an absolute floor under the quantile: bins below this
-	// normalized demand are never hot even when the design is so uncongested
-	// that the quantile lands there (default 1.0 — demand exceeds capacity).
-	HotThreshold float64
 	// MaxDensOverflow gates the cadence on placement maturity: snapshots
 	// fire only once the committed placement's exact density overflow has
 	// dropped below this (default 0.35). Early in the λ schedule cells are
@@ -65,35 +68,19 @@ type Options struct {
 	// without RUDY-overflow improvement (default 2), so inflation that has
 	// stopped helping cannot balloon cell area without bound.
 	CoolDown int
-	// TargetScaleMin, when < 1, also lowers the density target of hot bins
-	// (multiplicatively, floored here). Default 1: target modulation off.
-	TargetScaleMin float64
 	// SnapshotOnEntry fires an extra snapshot at outer iteration 0; the
 	// multilevel driver sets it on the finest level so inflation responds
 	// to the warm-started placement inherited from the coarser level.
 	SnapshotOnEntry bool
-	// WireWidth and Capacity configure the RUDY estimate (route.RUDYOptions;
-	// Capacity defaults to 0.15, matching the evaluation calibration).
-	WireWidth float64
-	Capacity  float64
+	// Capacity is the RUDY routing capacity per unit bin area (default
+	// route.CalibratedCapacity, the evaluation calibration).
+	Capacity float64
 }
 
 // withDefaults returns o with zero fields replaced by the documented defaults.
 func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = 2
-	}
-	if o.HotQuantile <= 0 || o.HotQuantile >= 1 {
-		o.HotQuantile = 0.92
-	}
 	if o.MaxInflate <= 1 {
 		o.MaxInflate = 2.0
-	}
-	if o.InflateStep <= 0 {
-		o.InflateStep = 0.15
-	}
-	if o.HotThreshold <= 0 {
-		o.HotThreshold = 1.0
 	}
 	if o.MaxDensOverflow <= 0 {
 		o.MaxDensOverflow = 0.35
@@ -101,11 +88,8 @@ func (o Options) withDefaults() Options {
 	if o.CoolDown <= 0 {
 		o.CoolDown = 2
 	}
-	if o.TargetScaleMin <= 0 || o.TargetScaleMin > 1 {
-		o.TargetScaleMin = 1
-	}
 	if o.Capacity <= 0 {
-		o.Capacity = 0.15
+		o.Capacity = route.CalibratedCapacity
 	}
 	return o
 }
@@ -150,7 +134,6 @@ type Controller struct {
 	est  *route.Estimator
 
 	scale  []float64 // per-cell area multiplier, monotone in [1, MaxInflate]
-	tscale []float64 // per-bin target multiplier, only when TargetScaleMin < 1
 	sorted []float64 // scratch for the per-snapshot demand quantile
 
 	stats        Stats
@@ -168,24 +151,15 @@ func New(nl *netlist.Netlist, grid geom.Grid, opt Options) *Controller {
 	}
 	opt = opt.withDefaults()
 	c := &Controller{
-		nl:   nl,
-		grid: grid,
-		opt:  opt,
-		est: route.NewEstimator(nl, grid, route.RUDYOptions{
-			WireWidth: opt.WireWidth,
-			Capacity:  opt.Capacity,
-		}),
+		nl:           nl,
+		grid:         grid,
+		opt:          opt,
+		est:          route.NewEstimator(nl, grid, route.RUDYOptions{Capacity: opt.Capacity}),
 		scale:        make([]float64, len(nl.Cells)),
 		bestOverflow: math.Inf(1),
 	}
 	for i := range c.scale {
 		c.scale[i] = 1
-	}
-	if opt.TargetScaleMin < 1 {
-		c.tscale = make([]float64, grid.Bins())
-		for i := range c.tscale {
-			c.tscale[i] = 1
-		}
 	}
 	return c
 }
@@ -202,13 +176,12 @@ func (c *Controller) Due(outer int, densOv float64) bool {
 	if outer == 0 {
 		return c.opt.SnapshotOnEntry
 	}
-	return outer%c.opt.Interval == 0
+	return outer%snapshotInterval == 0
 }
 
 // Snapshot takes a RUDY snapshot of pl and advances the inflation schedule.
-// It reports whether the inflation or target-scale state changed (the caller
-// must then re-feed Scale/TargetScale to its density model and invalidate
-// value/gradient caches). A context expiry mid-snapshot leaves the schedule
+// It reports whether the inflation state changed (the caller must then
+// re-feed Scale to its density model and invalidate value/gradient caches). A context expiry mid-snapshot leaves the schedule
 // unchanged and returns false.
 func (c *Controller) Snapshot(ctx context.Context, pool *par.Pool, pl *netlist.Placement) bool {
 	cm := c.est.Snapshot(ctx, pool, pl)
@@ -232,10 +205,10 @@ func (c *Controller) Snapshot(ctx context.Context, pool *par.Pool, pl *netlist.P
 	}
 	copy(c.sorted, cm.Demand)
 	sort.Float64s(c.sorted)
-	qi := int(c.opt.HotQuantile * float64(len(c.sorted)-1))
+	qi := int(hotQuantile * float64(len(c.sorted)-1))
 	thr := c.sorted[qi]
-	if thr < c.opt.HotThreshold {
-		thr = c.opt.HotThreshold
+	if thr < hotThreshold {
+		thr = hotThreshold
 	}
 
 	// Cool-down: freeze once overflow stops improving. The comparison uses
@@ -271,7 +244,7 @@ func (c *Controller) Snapshot(ctx context.Context, pool *par.Pool, pl *netlist.P
 		if sev > 1 {
 			sev = 1
 		}
-		ns := c.scale[ci] * (1 + c.opt.InflateStep*sev)
+		ns := c.scale[ci] * (1 + inflateStep*sev)
 		if ns > c.opt.MaxInflate {
 			ns = c.opt.MaxInflate
 		}
@@ -280,28 +253,6 @@ func (c *Controller) Snapshot(ctx context.Context, pool *par.Pool, pl *netlist.P
 			changed = true
 		}
 	}
-	// Optional per-bin target modulation, ascending bin order.
-	if c.tscale != nil {
-		step := c.opt.InflateStep / 2
-		for b, d := range cm.Demand {
-			if d <= thr {
-				continue
-			}
-			sev := (d - thr) / thr
-			if sev > 1 {
-				sev = 1
-			}
-			nt := c.tscale[b] * (1 - step*sev)
-			if nt < c.opt.TargetScaleMin {
-				nt = c.opt.TargetScaleMin
-			}
-			if nt < c.tscale[b] {
-				c.tscale[b] = nt
-				changed = true
-			}
-		}
-	}
-
 	if changed {
 		c.stats.Applied++
 		c.stats.InflatedCells = 0
@@ -323,11 +274,6 @@ func (c *Controller) Snapshot(ctx context.Context, pool *par.Pool, pl *netlist.P
 // which is exactly what the density model wants, but callers must not mutate
 // it.
 func (c *Controller) Scale() []float64 { return c.scale }
-
-// TargetScale returns the per-bin density-target multipliers, or nil when
-// target modulation is off (TargetScaleMin == 1). Same ownership rules as
-// Scale.
-func (c *Controller) TargetScale() []float64 { return c.tscale }
 
 // Stats returns a copy of the controller's activity summary. The Overflow
 // trajectory is copied too, so the caller may retain the result.

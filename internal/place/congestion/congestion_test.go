@@ -52,7 +52,7 @@ func TestNewDisabledReturnsNil(t *testing.T) {
 
 func TestDueSchedule(t *testing.T) {
 	nl, _, grid := congProblem(2, 40, 50)
-	c := New(nl, grid, Options{Enable: true}) // defaults: Interval 2, MaxDensOverflow 0.35
+	c := New(nl, grid, Options{Enable: true}) // snapshotInterval 2, default MaxDensOverflow 0.35
 	if c.Due(0, 0.1) {
 		t.Error("outer 0 fired without SnapshotOnEntry")
 	}
@@ -176,32 +176,6 @@ func TestCoolDownFreezes(t *testing.T) {
 	}
 	if c.Due(4, 0) {
 		t.Error("frozen controller reported Due")
-	}
-}
-
-// TestTargetScaleModulation checks the optional per-bin target lowering:
-// bounded below by TargetScaleMin, never above 1, and actually engaged on a
-// congested placement.
-func TestTargetScaleModulation(t *testing.T) {
-	nl, pl, grid := congProblem(6, 200, 400)
-	const floor = 0.8
-	c := New(nl, grid, Options{Enable: true, TargetScaleMin: floor, CoolDown: 100})
-	ts := c.TargetScale()
-	if ts == nil {
-		t.Fatal("TargetScaleMin < 1 left target modulation off")
-	}
-	c.Snapshot(context.Background(), par.New(2), pl)
-	lowered := 0
-	for b, v := range ts {
-		if v < floor || v > 1 {
-			t.Fatalf("bin %d target scale %v outside [%v, 1]", b, v, floor)
-		}
-		if v < 1 {
-			lowered++
-		}
-	}
-	if lowered == 0 {
-		t.Fatal("congested placement lowered no bin targets")
 	}
 }
 

@@ -23,8 +23,6 @@ type Options struct {
 	Locked []bool
 	// Passes is the number of full improvement sweeps (default 2).
 	Passes int
-	// Window is the reordering window size (default 3; max 4).
-	Window int
 	// Ctx, when non-nil, is polled between sweeps; on expiry Improve stops
 	// early with Result.Partial set. The placement stays legal — every
 	// accepted move preserves legality.
@@ -43,12 +41,6 @@ type Result struct {
 func Improve(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, opt Options) Result {
 	if opt.Passes <= 0 {
 		opt.Passes = 2
-	}
-	if opt.Window <= 0 {
-		opt.Window = 3
-	}
-	if opt.Window > 4 {
-		opt.Window = 4
 	}
 	d := &improver{nl: nl, pl: pl, core: core, opt: opt}
 	d.buildAdjacency()
@@ -156,13 +148,16 @@ func (d *improver) rowCells() [][]netlist.CellID {
 	return rows
 }
 
+// reorderWindow is the number of consecutive row cells reorderPass permutes.
+const reorderWindow = 3
+
 // reorderPass slides a window along each row and keeps the best permutation
 // of the window cells packed into their combined span.
 func (d *improver) reorderPass() int {
 	pl := d.pl
 	moves := 0
 	rows := d.rowCells()
-	w := d.opt.Window
+	w := reorderWindow
 	for _, cells := range rows {
 		for start := 0; start+w <= len(cells); start++ {
 			win := cells[start : start+w]

@@ -86,12 +86,14 @@ func TestImproveWithoutLocks(t *testing.T) {
 
 func TestImproveFixesObviousSwap(t *testing.T) {
 	// Two cells in one row placed in crossing order relative to their
-	// anchor pads: window reordering must uncross them.
+	// anchor pads, with an unconnected cell between them so the row fills
+	// one reorder window: window reordering must uncross them.
 	nl := netlist.New("x")
 	padL := nl.MustAddCell("padL", "PAD", 1, 1, true)
 	padR := nl.MustAddCell("padR", "PAD", 1, 1, true)
 	a := nl.MustAddCell("a", "STD", 4, 10, false)
 	c := nl.MustAddCell("c", "STD", 4, 10, false)
+	m := nl.MustAddCell("m", "STD", 4, 10, false)
 	nl.MustAddNet("nl", 1,
 		netlist.Endpoint{Cell: padL, Pin: "P", Dir: netlist.DirOutput},
 		netlist.Endpoint{Cell: a, Pin: "A", Dir: netlist.DirInput},
@@ -105,8 +107,9 @@ func TestImproveFixesObviousSwap(t *testing.T) {
 	pl.SetLoc(padL, geom.Point{X: -1, Y: 0})
 	pl.SetLoc(padR, geom.Point{X: 100, Y: 0})
 	pl.SetLoc(c, geom.Point{X: 40, Y: 0}) // c wants right, sits left
-	pl.SetLoc(a, geom.Point{X: 50, Y: 0}) // a wants left, sits right
-	res := detail.Improve(nl, pl, core, detail.Options{Window: 2, Passes: 1})
+	pl.SetLoc(m, geom.Point{X: 44, Y: 0})
+	pl.SetLoc(a, geom.Point{X: 48, Y: 0}) // a wants left, sits right
+	res := detail.Improve(nl, pl, core, detail.Options{Passes: 1})
 	if res.Moves == 0 || res.HPWLAfter >= res.HPWLBefore {
 		t.Fatalf("crossing not fixed: %+v", res)
 	}

@@ -40,12 +40,6 @@ type Options struct {
 	WLModel string
 	// TargetDensity is the per-bin utilization target (default 0.9).
 	TargetDensity float64
-	// GridDim forces the density grid to GridDim×GridDim bins; 0 derives it
-	// from the design size.
-	GridDim int
-	// OverflowTarget stops the outer loop once total overflow drops below
-	// it (default 0.10).
-	OverflowTarget float64
 	// MaxOuterIters bounds the λ-schedule length (default 24).
 	MaxOuterIters int
 	// InnerIters bounds the conjugate-gradient iterations per λ stage
@@ -137,10 +131,8 @@ type Diagnostics struct {
 	// pathological line-search resets inside opt.Minimize.
 	Recoveries int
 	// Rollbacks counts outer-loop restorations of the best iterate after a
-	// diverged inner solve.
+	// diverged inner solve; each is followed by a γ/λ re-anneal.
 	Rollbacks int
-	// ReAnneals counts γ/λ re-annealing events that accompany a rollback.
-	ReAnneals int
 	// Partial is set when a deadline stopped the λ-schedule early; the
 	// committed placement is the best iterate found so far.
 	Partial bool
@@ -149,15 +141,16 @@ type Diagnostics struct {
 	Diverged bool
 }
 
+// overflowTarget stops the outer loop once total density overflow drops
+// below it (after at least four outer iterations).
+const overflowTarget = 0.10
+
 func (o *Options) fillDefaults() {
 	if o.WLModel == "" {
 		o.WLModel = "wa"
 	}
 	if o.TargetDensity <= 0 {
 		o.TargetDensity = 0.9
-	}
-	if o.OverflowTarget <= 0 {
-		o.OverflowTarget = 0.10
 	}
 	if o.MaxOuterIters <= 0 {
 		o.MaxOuterIters = 24
@@ -374,15 +367,14 @@ func newEngine(nl *netlist.Netlist, pl *netlist.Placement, core *geom.Core, o Op
 	}
 	e.nVars = e.nx + e.ny
 
-	dim := o.GridDim
-	if dim <= 0 {
-		dim = int(math.Sqrt(float64(nl.NumMovable())/3)) + 8
-		if dim < 16 {
-			dim = 16
-		}
-		if dim > 128 {
-			dim = 128
-		}
+	// The density grid grows with the design: about three movable cells
+	// per bin, clamped to [16, 128] bins a side.
+	dim := int(math.Sqrt(float64(nl.NumMovable())/3)) + 8
+	if dim < 16 {
+		dim = 16
+	}
+	if dim > 128 {
+		dim = 128
 	}
 	e.grid = geom.NewGrid(core.Region, dim, dim)
 	e.pot = density.NewPotential(nl, pl, e.grid, o.TargetDensity)
@@ -1031,9 +1023,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 		if e.cong.Due(outer, lastOv) {
 			if e.cong.Snapshot(ctx, e.pool, pl) {
 				e.pot.SetAreaScale(e.cong.Scale())
-				if ts := e.cong.TargetScale(); ts != nil {
-					e.pot.SetTargetScale(ts)
-				}
 				e.densClean, e.densGradClean = false, false
 				st := e.cong.Stats()
 				rec.SolverEvent("global", outer, "congestion-inflate", 0, 0, e.lambda)
@@ -1063,7 +1052,6 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 			// — so the next stage re-approaches the barrier gradually.
 			diverged++
 			res.Diagnostics.Rollbacks++
-			res.Diagnostics.ReAnneals++
 			if bestOv < math.Inf(1) {
 				copy(v, bestV)
 			} else {
@@ -1122,7 +1110,7 @@ func (e *engine) run(ctx context.Context) (Result, error) {
 			stageErr = pipeline.StageError("global", pipeline.ErrTimeout)
 			break
 		}
-		if ov < e.o.OverflowTarget && outer >= 3 {
+		if ov < overflowTarget && outer >= 3 {
 			break
 		}
 		if sinceBest >= 4 {

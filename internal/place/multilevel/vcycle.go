@@ -28,11 +28,6 @@ type Options struct {
 	// MinCells stops coarsening once a level has at most this many movable
 	// cells (default 400) — below that the flat engine is already cheap.
 	MinCells int
-	// RefineOuter bounds the λ-schedule length of the warm-started
-	// refinement solves at intermediate and finest levels (default
-	// max(8, Global.MaxOuterIters/2)). The coarsest level always gets the
-	// full Global.MaxOuterIters budget.
-	RefineOuter int
 	// Global is the base configuration every level's analytical solve
 	// derives from (density target, worker count, wirelength model, ...).
 	Global global.Options
@@ -52,16 +47,18 @@ func (o *Options) fillDefaults() {
 	if o.MinCells <= 0 {
 		o.MinCells = 400
 	}
-	if o.RefineOuter <= 0 {
-		outer := o.Global.MaxOuterIters
-		if outer <= 0 {
-			outer = 24
-		}
-		o.RefineOuter = outer / 2
-		if o.RefineOuter < 8 {
-			o.RefineOuter = 8
-		}
+}
+
+// refineOuter bounds the λ-schedule length of the warm-started refinement
+// solves at intermediate and finest levels: half the base schedule
+// (Global.MaxOuterIters, default 24), at least 8. The coarsest level always
+// gets the full budget.
+func refineOuter(base global.Options) int {
+	outer := base.MaxOuterIters
+	if outer <= 0 {
+		outer = 24
 	}
+	return max(8, outer/2)
 }
 
 // LevelStats summarizes one level of the V-cycle for reports and tables.
@@ -133,8 +130,6 @@ func PlaceCtx(ctx context.Context, nl *netlist.Netlist, pl *netlist.Placement, c
 	if fm := nl.NumMovable(); fm > 0 {
 		res.ClusterRatio = float64(res.CoarsestCells) / float64(fm)
 	}
-	rec.Add("multilevel/levels", int64(res.Levels))
-	rec.Add("multilevel/coarsest_cells", int64(res.CoarsestCells))
 	rec.Logf(obs.Debug, "multilevel", "%d levels, coarsest %d movable cells (ratio %.3f)",
 		res.Levels, res.CoarsestCells, res.ClusterRatio)
 
@@ -282,7 +277,7 @@ func levelOptions(o Options, k, top int) global.Options {
 		// Warm start from the interpolated positions.
 		gOpt.SkipQuadraticInit = true
 		gOpt.Refine = true
-		gOpt.MaxOuterIters = o.RefineOuter
+		gOpt.MaxOuterIters = refineOuter(o.Global)
 	}
 	return gOpt
 }

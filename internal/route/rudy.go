@@ -10,6 +10,12 @@ import (
 	"repro/internal/par"
 )
 
+// CalibratedCapacity is the RUDY routing capacity per unit bin area that
+// placement evaluation and the congestion feedback loop share. One fixed
+// value keeps congestion comparable across placers on the same design; the
+// absolute value only scales the numbers.
+const CalibratedCapacity = 0.15
+
 // RUDYOptions configures the congestion estimate.
 type RUDYOptions struct {
 	WireWidth float64 // routed wire width in database units; 0 means 1
