@@ -183,14 +183,16 @@ func (p *Potential) Value(cx, cy []float64) float64 {
 		return math.NaN()
 	}
 
-	// Pass 2: density splat from the tables. Parallel runs hand each worker
-	// a contiguous band of bin rows; every band visits the cells in
-	// ascending order, so each bin receives its additions in serial cell
-	// order and the bins are bit-identical at every worker count.
+	// Pass 2: density splat from the tables. Parallel runs split the bin
+	// rows into W contiguous bands of ⌈NY/W⌉ rows; every band visits the
+	// cells in ascending order, so each bin receives its additions in
+	// serial cell order and the bins are bit-identical at every worker
+	// count.
 	for i := range p.dens {
 		p.dens[i] = 0
 	}
-	if err := p.pool.ForShards(p.ctx, g.NY, p.pool.Workers(), func(_, r0, r1 int) {
+	w := p.pool.Workers()
+	if err := p.pool.Run(p.ctx, g.NY, (g.NY+w-1)/w, func(r0, r1 int) {
 		for mi := range p.norm {
 			p.splatCell(mi, r0, r1)
 		}

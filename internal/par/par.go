@@ -5,25 +5,22 @@
 // including one — otherwise placements would stop being reproducible and the
 // golden tests of this repository would be meaningless.
 //
-// The pool achieves that by separating *computation* from *reduction*:
-//
-//   - Run distributes disjoint index chunks to workers dynamically (an atomic
-//     cursor) for load balance. Workers must only write to per-index slots —
-//     never to shared accumulators — so the schedule cannot influence the
-//     result.
-//   - ForShards splits the index space into a fixed number of contiguous
-//     shards, independent of worker count, so per-shard accumulators can be
-//     merged afterwards in shard order when a caller does need accumulation
-//     inside the parallel section (e.g. density tiled by bin rows, where each
-//     shard owns a disjoint set of bins).
+// The pool achieves that by separating *computation* from *reduction*: Run
+// distributes disjoint index chunks to workers dynamically (an atomic
+// cursor) for load balance. Workers must only write to per-index slots —
+// never to shared accumulators — so the schedule cannot influence the
+// result. A caller that accumulates inside the parallel section must own
+// its targets per chunk: the density splat hands each chunk a band of bin
+// rows and visits the cells in ascending order within it, so every bin
+// receives its additions in serial order whatever the banding.
 //
 // Floating-point reductions that must match a serial loop bit-for-bit are
 // done by the caller, serially, in index order, over the per-index results
 // the parallel phase produced.
 //
-// Cancellation is cooperative and conservative: Run and ForShards check the
-// context before dispatching work and between chunks, stop handing out new
-// chunks once it expires, and return the context error. Chunks that already
+// Cancellation is cooperative and conservative: Run checks the context
+// before dispatching work and between chunks, stops handing out new chunks
+// once it expires, and returns the context error. Chunks that already
 // started always run to completion, so a non-nil error is the only signal
 // that the output is incomplete; callers must discard it. A nil or
 // single-worker pool executes inline on the calling goroutine with no
@@ -73,15 +70,6 @@ const minGrain = 16
 // context expired before all chunks were dispatched — the caller must then
 // treat the output as incomplete. A nil ctx is treated as background.
 func (p *Pool) Run(ctx context.Context, n, grain int, fn func(lo, hi int)) error {
-	return p.RunWorker(ctx, n, grain, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// RunWorker is Run with the executing worker's index (0 ≤ w < Workers())
-// passed to fn, so callers can hand each worker private scratch state —
-// per-worker wirelength models, gather buffers — without synchronization.
-// The worker index must only select scratch, never influence the values
-// computed, or determinism across worker counts is lost.
-func (p *Pool) RunWorker(ctx context.Context, n, grain int, fn func(worker, lo, hi int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -93,7 +81,7 @@ func (p *Pool) RunWorker(ctx context.Context, n, grain int, fn func(worker, lo, 
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		fn(0, 0, n)
+		fn(0, n)
 		return nil
 	}
 	if err := ctxErr(ctx); err != nil {
@@ -103,10 +91,10 @@ func (p *Pool) RunWorker(ctx context.Context, n, grain int, fn func(worker, lo, 
 	var wg sync.WaitGroup
 	for g := 0; g < w; g++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			d.runChunks(worker)
-		}(g)
+			d.runChunks()
+		}()
 	}
 	wg.Wait()
 	if d.stopped.Load() {
@@ -115,13 +103,13 @@ func (p *Pool) RunWorker(ctx context.Context, n, grain int, fn func(worker, lo, 
 	return nil
 }
 
-// dispatch is the shared state of one RunWorker invocation: the chunk
+// dispatch is the shared state of one Run invocation: the chunk
 // cursor the workers race on, the cooperative stop flag, and the kernel
 // closure they all execute.
 type dispatch struct {
 	ctx      context.Context
 	n, grain int
-	fn       func(worker, lo, hi int)
+	fn       func(lo, hi int)
 	cursor   atomic.Int64
 	stopped  atomic.Bool
 }
@@ -133,7 +121,7 @@ type dispatch struct {
 // only atomics, the context poll, and the kernel call.
 //
 //placelint:hotpath
-func (d *dispatch) runChunks(worker int) {
+func (d *dispatch) runChunks() {
 	for {
 		if d.stopped.Load() {
 			return
@@ -151,38 +139,8 @@ func (d *dispatch) runChunks(worker int) {
 			hi = d.n
 		}
 		//placelint:ignore hotalloc the kernel closure is the caller's to keep allocation-free; the §14 kernels it wraps carry their own hotpath contracts
-		d.fn(worker, lo, hi)
+		d.fn(lo, hi)
 	}
-}
-
-// ForShards splits [0, n) into exactly `shards` contiguous ranges (the last
-// ones may be empty when shards > n) and runs fn(shard, lo, hi) for each,
-// concurrently across the pool's workers. The shard boundaries depend only
-// on n and shards — never on the worker count — so per-shard accumulators
-// merged in shard order yield the same result at every parallelism level.
-// Like Run, it stops dispatching when ctx expires and returns the context
-// error; started shards complete.
-func (p *Pool) ForShards(ctx context.Context, n, shards int, fn func(shard, lo, hi int)) error {
-	if n <= 0 || shards <= 0 {
-		return nil
-	}
-	// Balanced contiguous partition: the first n%shards shards get one extra.
-	q, r := n/shards, n%shards
-	bounds := make([]int, shards+1)
-	for s := 0; s < shards; s++ {
-		sz := q
-		if s < r {
-			sz++
-		}
-		bounds[s+1] = bounds[s] + sz
-	}
-	return p.Run(ctx, shards, 1, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			if bounds[s] < bounds[s+1] {
-				fn(s, bounds[s], bounds[s+1])
-			}
-		}
-	})
 }
 
 // ctxErr is ctx.Err() with nil-context tolerance.

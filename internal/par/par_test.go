@@ -34,52 +34,6 @@ func TestRunCoversRange(t *testing.T) {
 	}
 }
 
-// TestForShardsDeterministicBoundaries verifies shard boundaries depend only
-// on (n, shards): every worker count sees identical partitions, shards are
-// contiguous, disjoint and cover the range.
-func TestForShardsDeterministicBoundaries(t *testing.T) {
-	const n, shards = 103, 8
-	var want [][2]int
-	for _, workers := range []int{1, 2, 4} {
-		p := New(workers)
-		got := make([][2]int, shards)
-		for i := range got {
-			got[i] = [2]int{-1, -1}
-		}
-		var mu atomic.Int32
-		err := p.ForShards(context.Background(), n, shards, func(s, lo, hi int) {
-			got[s] = [2]int{lo, hi}
-			mu.Add(int32(hi - lo))
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(mu.Load()) != n {
-			t.Fatalf("workers=%d: covered %d of %d indices", workers, mu.Load(), n)
-		}
-		prev := 0
-		for s, b := range got {
-			if b[0] != prev {
-				t.Fatalf("workers=%d: shard %d starts at %d, want %d", workers, s, b[0], prev)
-			}
-			prev = b[1]
-		}
-		if prev != n {
-			t.Fatalf("workers=%d: shards end at %d, want %d", workers, prev, n)
-		}
-		if want == nil {
-			want = got
-		} else {
-			for s := range got {
-				if got[s] != want[s] {
-					t.Fatalf("shard %d boundaries differ across worker counts: %v vs %v",
-						s, got[s], want[s])
-				}
-			}
-		}
-	}
-}
-
 // TestRunDeterministicFloatReduction is the contract test behind the
 // placer's bit-identity guarantee: a parallel per-index compute phase
 // followed by a serial in-order reduce must match the plain serial loop

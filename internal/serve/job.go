@@ -34,8 +34,9 @@ func (s State) Terminal() bool {
 }
 
 // Job is the daemon's record of one placement. Mutable fields are guarded by
-// the server's mutex; the events broadcaster and the cancel func are set
-// when the job starts running.
+// the server's mutex. The state fields change only through apply; the
+// cancel func is set while a runner owns the job, the events broadcaster
+// from its first run (or first watcher) on.
 type Job struct {
 	// ID is the stable job identifier ("j000042").
 	ID string
@@ -71,7 +72,8 @@ type Job struct {
 	// value means "never admitted by this process" and is not observed.
 	sw obs.Stopwatch
 
-	// cancel interrupts the running attempt (nil unless running).
+	// cancel interrupts the job's runner; non-nil from dispatch until the
+	// runner exits, which is how Cancel tells an owned job from a queued one.
 	cancel context.CancelFunc
 	// events fans the per-iteration telemetry out to SSE watchers; non-nil
 	// from first run to terminal state.
@@ -79,6 +81,39 @@ type Job struct {
 	// stateCh closes and is replaced on every state change, waking SSE
 	// watchers polling for transitions.
 	stateCh chan struct{}
+}
+
+// terminalStates maps each terminal record kind to the state it ends in.
+var terminalStates = map[string]State{EvDone: StateDone, EvFail: StateFailed, EvCancel: StateCanceled}
+
+// apply is the job state machine: the one place a journal record becomes
+// job state, shared by the live daemon and journal replay, so a restarted
+// daemon shows every job as the live one did. Attempt-ending records carry
+// the attempt's whole result; a terminal record's empty Error clears the
+// error of an earlier retry. Caller holds the server mutex.
+func (j *Job) apply(rec Record) {
+	if j.State == StateCanceled && (rec.Ev == EvStart || rec.Ev == EvRetry) {
+		// Cancel marked the running job canceled before its runner
+		// journaled the start or the retry; the mark stands until the
+		// runner journals the cancel.
+		return
+	}
+	switch rec.Ev {
+	case EvSubmit:
+		j.ID, j.Seq, j.Spec, j.State = rec.Job, rec.Seq, rec.Spec, StateQueued
+	case EvStart:
+		j.State, j.Attempt, j.Workers = StateRunning, rec.Attempt, rec.Workers
+	case EvRetry:
+		j.State, j.Error = StateQueued, rec.Error
+		j.Retries++
+	case EvDone, EvFail, EvCancel:
+		j.State = terminalStates[rec.Ev]
+		j.Exit, j.Error, j.HPWL, j.Partial = rec.Exit, rec.Error, rec.HPWL, rec.Partial
+	case EvInterrupt:
+		j.State, j.Requeued, j.Partial = StateQueued, true, rec.Partial
+	case EvRequeue:
+		j.State, j.Requeued = StateQueued, true
+	}
 }
 
 // View is the JSON shape of a job in API responses.
@@ -118,6 +153,12 @@ func (j *Job) dropPayload() {
 	if j.Spec != nil {
 		j.Spec = &JobSpec{Name: j.Spec.Name, Priority: j.Spec.Priority}
 	}
+}
+
+// cancelRecord is the cancel record of a job no attempt is running for: it
+// keeps the error and checkpoint flag the job already shows.
+func (j *Job) cancelRecord() Record {
+	return Record{Ev: EvCancel, Job: j.ID, Exit: "canceled", Error: j.Error, Partial: j.Partial}
 }
 
 // view snapshots the job for the API. Caller holds the server mutex.

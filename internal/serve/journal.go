@@ -27,14 +27,18 @@ const (
 	// died mid-attempt; replay requeues the job.
 	EvStart = "start"
 	// EvRetry ends a failed attempt that will be retried with damped
-	// options: carries the attempt, the error and its taxonomy class.
+	// options: carries the attempt's result, the error and its taxonomy
+	// class included.
 	EvRetry = "retry"
-	// EvDone ends a job successfully: carries the final HPWL and whether the
-	// result is a deadline-checkpointed partial.
+	// EvDone ends a job successfully: carries the attempt's result — the
+	// final HPWL, whether it is a deadline-checkpointed partial, and the
+	// error, empty unless a checkpointed run erred at its deadline.
 	EvDone = "done"
-	// EvFail ends a job in terminal failure: carries the error and class.
+	// EvFail ends a job in terminal failure: carries the attempt's result.
 	EvFail = "fail"
-	// EvCancel ends a job by client request.
+	// EvCancel ends a job by client request. Canceled mid-run, it carries
+	// the attempt's result; canceled while queued, the error and partial
+	// flag the job already showed.
 	EvCancel = "cancel"
 	// EvInterrupt ends an attempt because the daemon drained before it
 	// finished: the job checkpointed its best iterate and must be requeued
@@ -46,8 +50,10 @@ const (
 	EvDrain = "drain"
 )
 
-// Record is one journal line. Fields are a union across event kinds; TMs is
-// wall-clock milliseconds (informational only — replay never depends on it).
+// Record is one journal line. Fields are a union across event kinds; each
+// kind carries every field (*Job).apply reads from it, so replay rebuilds
+// the view the live daemon showed. TMs is wall-clock milliseconds
+// (informational only — replay never depends on it).
 type Record struct {
 	// Ev discriminates the record kind (the Ev* constants).
 	Ev string `json:"ev"`
@@ -61,18 +67,22 @@ type Record struct {
 	Seq uint64 `json:"seq,omitempty"`
 	// Spec is the submitted job spec (EvSubmit).
 	Spec *JobSpec `json:"spec,omitempty"`
-	// Attempt numbers the execution attempt, starting at 1 (EvStart,
-	// EvRetry, EvDone, EvFail, EvInterrupt).
+	// Attempt numbers the execution attempt, starting at 1 (EvStart and
+	// the records that end an attempt).
 	Attempt int `json:"attempt,omitempty"`
 	// Workers is the granted worker count (EvStart).
 	Workers int `json:"workers,omitempty"`
-	// Exit is the pipeline taxonomy class (EvRetry, EvDone, EvFail).
+	// Exit is the pipeline taxonomy class (records that end an attempt;
+	// "canceled" on EvCancel).
 	Exit string `json:"exit,omitempty"`
-	// Error is the failure detail (EvRetry, EvFail, EvInterrupt).
+	// Error is the failure detail (records that end an attempt, and
+	// EvCancel). On a terminal record "" clears an earlier retry's error.
 	Error string `json:"error,omitempty"`
-	// HPWL is the final half-perimeter wirelength (EvDone).
+	// HPWL is the attempt's half-perimeter wirelength (records that end an
+	// attempt; the view shows it from EvDone, EvFail and EvCancel).
 	HPWL float64 `json:"hpwl,omitempty"`
-	// Partial marks a best-iterate checkpoint result (EvDone, EvInterrupt).
+	// Partial marks a best-iterate checkpoint result (records that end an
+	// attempt, and EvCancel).
 	Partial bool `json:"partial,omitempty"`
 	// Checkpointed counts jobs that checkpointed instead of finishing
 	// (EvDrain).

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 )
 
 // fastSpec is a placement small enough to finish in tens of milliseconds.
@@ -299,6 +300,35 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// TestJournalErrorCounted closes the journal under a running job: the
+// runner's cancel record cannot be written, which is logged and counted,
+// and the job still reaches its terminal state in memory.
+func TestJournalErrorCounted(t *testing.T) {
+	log := obs.New()
+	log.Collect()
+	s := newServer(t, Config{Workers: 1, Log: log})
+	defer s.Close()
+	s.Start()
+	v, err := s.Submit(slowSpec("orphan"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, v.ID, 60*time.Second, func(jv View) bool { return jv.State == StateRunning })
+	if err := s.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Cancel(v.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, s, 60*time.Second)
+	if got, _ := s.Job(v.ID); got.State != StateCanceled || got.Error == "" {
+		t.Fatalf("job state=%s error=%q, want canceled with its attempt's error", got.State, got.Error)
+	}
+	if n := log.Counter("serve/journal_errors"); n != 1 {
+		t.Fatalf("serve/journal_errors = %d, want 1", n)
+	}
+}
+
 // TestBudgetSharedAcrossJobs floods the scheduler at several budget sizes
 // and asserts the shared worker budget never over-grants; run with -race.
 func TestBudgetSharedAcrossJobs(t *testing.T) {
@@ -441,6 +471,15 @@ func TestJournalReplayStates(t *testing.T) {
 		Record{Ev: EvFail, Job: "j000002", Attempt: 2, Exit: "diverged", Error: "diverged"},
 		// j000003: admitted, never started; must requeue quietly.
 		Record{Ev: EvSubmit, Job: "j000003", Seq: 3, Spec: spec},
+		// j000004: an older daemon's records. Its done record carries no
+		// Error, which clears the retry's; its cancel carries only Exit.
+		Record{Ev: EvSubmit, Job: "j000004", Seq: 4, Spec: spec},
+		Record{Ev: EvStart, Job: "j000004", Attempt: 1, Workers: 1},
+		Record{Ev: EvRetry, Job: "j000004", Attempt: 1, Exit: "diverged", Error: "diverged"},
+		Record{Ev: EvStart, Job: "j000004", Attempt: 2, Workers: 1},
+		Record{Ev: EvDone, Job: "j000004", Attempt: 2, Exit: "ok", HPWL: 99},
+		Record{Ev: EvSubmit, Job: "j000005", Seq: 5, Spec: spec},
+		Record{Ev: EvCancel, Job: "j000005", Exit: "canceled"},
 	)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -456,6 +495,8 @@ func TestJournalReplayStates(t *testing.T) {
 		"j000001": {StateQueued, true},
 		"j000002": {StateFailed, false},
 		"j000003": {StateQueued, true},
+		"j000004": {StateDone, false},
+		"j000005": {StateCanceled, false},
 	}
 	for id, w := range want {
 		v, err := s.Job(id)
@@ -470,13 +511,19 @@ func TestJournalReplayStates(t *testing.T) {
 	if v, _ := s.Job("j000000"); v.HPWL != 123.5 {
 		t.Errorf("done job lost its journaled HPWL: %v", v.HPWL)
 	}
+	if v, _ := s.Job("j000004"); v.Error != "" || v.Attempt != 2 {
+		t.Errorf("retried-then-done job: attempt %d, error %q; want 2 and no error", v.Attempt, v.Error)
+	}
+	if v, _ := s.Job("j000005"); v.Exit != "canceled" {
+		t.Errorf("canceled job exit = %q, want canceled", v.Exit)
+	}
 	// New submissions continue the sequence after the replayed ids.
 	nv, err := s.Submit(fastSpec("next", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nv.ID != "j000004" {
-		t.Errorf("next id = %s, want j000004", nv.ID)
+	if nv.ID != "j000006" {
+		t.Errorf("next id = %s, want j000006", nv.ID)
 	}
 }
 
@@ -541,5 +588,131 @@ func TestJournalRejectsSchemaMismatch(t *testing.T) {
 	}
 	if _, err := New(Config{Dir: dir}); err == nil {
 		t.Fatal("New accepted a journal with a foreign schema")
+	}
+}
+
+// TestReplayReproducesLiveViews drives each job lifecycle live, records the
+// job's view once it settles, then restarts the daemon on the same data
+// directory: journal replay must show every job exactly as the live daemon
+// did.
+func TestReplayReproducesLiveViews(t *testing.T) {
+	// settled waits until no runner holds the job, so a canceled job's view
+	// includes the result its runner journaled.
+	settled := func(t *testing.T, s *Server, id string) View {
+		t.Helper()
+		waitTerminal(t, s, id, 120*time.Second)
+		waitIdle(t, s, 60*time.Second)
+		v, err := s.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	submit := func(t *testing.T, s *Server, spec *JobSpec) string {
+		t.Helper()
+		v, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		return v.ID
+	}
+	running := func(t *testing.T, s *Server, id string) {
+		t.Helper()
+		waitState(t, s, id, 60*time.Second, func(v View) bool { return v.State == StateRunning })
+	}
+	degenerate := fastSpec("degenerate", 21)
+	degenerate.Options.OnDegrade = "fail"
+	diverging := fastSpec("diverging", 22)
+	diverging.Options.Mode = "baseline"
+
+	for _, c := range []struct {
+		name     string
+		cfg      Config
+		faults   []faultinject.Spec
+		want     State
+		attempts int
+		run      func(t *testing.T, s *Server) (id string, live View)
+	}{
+		{name: "done", attempts: 1, want: StateDone, run: func(t *testing.T, s *Server) (string, View) {
+			s.Start()
+			id := submit(t, s, fastSpec("clean", 20))
+			return id, settled(t, s, id)
+		}},
+		{name: "retry-then-done", attempts: 2, want: StateDone,
+			faults: []faultinject.Spec{{Site: faultinject.SiteDegenerateGroups, Count: 1}},
+			run: func(t *testing.T, s *Server) (string, View) {
+				s.Start()
+				id := submit(t, s, degenerate)
+				return id, settled(t, s, id)
+			}},
+		{name: "cancel-queued", attempts: 0, want: StateCanceled, run: func(t *testing.T, s *Server) (string, View) {
+			id := submit(t, s, fastSpec("queued", 23)) // dispatcher never started
+			if _, err := s.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+			return id, settled(t, s, id)
+		}},
+		{name: "cancel-running", attempts: 1, want: StateCanceled, run: func(t *testing.T, s *Server) (string, View) {
+			s.Start()
+			id := submit(t, s, slowSpec("canceled"))
+			running(t, s, id)
+			if _, err := s.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+			return id, settled(t, s, id)
+		}},
+		{name: "fail-after-retries", attempts: 2, want: StateFailed, cfg: Config{MaxRetries: 1},
+			faults: []faultinject.Spec{{Site: faultinject.SiteOptNaNGrad}},
+			run: func(t *testing.T, s *Server) (string, View) {
+				s.Start()
+				id := submit(t, s, diverging)
+				return id, settled(t, s, id)
+			}},
+		{name: "drain-checkpoint", attempts: 1, want: StateQueued, run: func(t *testing.T, s *Server) (string, View) {
+			s.Start()
+			id := submit(t, s, slowSpec("checkpointed"))
+			running(t, s, id)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel() // an expired deadline checkpoints at once
+			if _, err := s.Drain(ctx); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			v, err := s.Job(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return id, v
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Dir, c.cfg.Workers = t.TempDir(), 1
+			if len(c.faults) > 0 {
+				faultinject.Enable(1, c.faults...)
+				defer faultinject.Disable()
+			}
+			s := newServer(t, c.cfg)
+			id, live := c.run(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			faultinject.Disable()
+			if live.State != c.want || live.Attempt != c.attempts {
+				t.Fatalf("live job ended %s after %d attempts (exit %q, error %q), want %s after %d",
+					live.State, live.Attempt, live.Exit, live.Error, c.want, c.attempts)
+			}
+			if c.want == StateQueued && !live.Requeued {
+				t.Fatalf("checkpointed job is not marked requeued: %+v", live)
+			}
+
+			s2 := newServer(t, c.cfg)
+			defer s2.Close()
+			replayed, err := s2.Job(id)
+			if err != nil {
+				t.Fatalf("replayed job: %v", err)
+			}
+			if replayed != live {
+				t.Errorf("replayed view differs from the live one:\n live     %+v\n replayed %+v", live, replayed)
+			}
+		})
 	}
 }

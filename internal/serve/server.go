@@ -167,59 +167,20 @@ func (s *Server) syncGauges() {
 	s.metrics.jobsRunning.Set(int64(s.running))
 }
 
-// replay folds journal records into the job table and requeues every job a
-// previous daemon instance left mid-flight.
+// replay folds journal records into the job table through the same apply
+// the live daemon uses, and requeues every job a previous daemon instance
+// left mid-flight.
 func (s *Server) replay(recs []Record) error {
 	for _, rec := range recs {
-		switch rec.Ev {
-		case EvSubmit:
+		if rec.Ev == EvSubmit {
 			if rec.Spec == nil {
 				return fmt.Errorf("serve: journal submit record for %s has no spec", rec.Job)
 			}
-			s.jobs[rec.Job] = &Job{
-				ID: rec.Job, Seq: rec.Seq, Spec: rec.Spec,
-				State: StateQueued, stateCh: make(chan struct{}),
-			}
-			if rec.Seq >= s.nextSeq {
-				s.nextSeq = rec.Seq + 1
-			}
-		case EvStart:
-			if j := s.jobs[rec.Job]; j != nil {
-				j.State = StateRunning
-				j.Attempt = rec.Attempt
-				j.Workers = rec.Workers
-			}
-		case EvRetry:
-			if j := s.jobs[rec.Job]; j != nil {
-				j.State = StateQueued
-				j.Retries++
-				j.Error = rec.Error
-			}
-		case EvDone:
-			if j := s.jobs[rec.Job]; j != nil {
-				j.State = StateDone
-				j.Exit = rec.Exit
-				j.HPWL = rec.HPWL
-				j.Partial = rec.Partial
-			}
-		case EvFail:
-			if j := s.jobs[rec.Job]; j != nil {
-				j.State = StateFailed
-				j.Exit = rec.Exit
-				j.Error = rec.Error
-			}
-		case EvCancel:
-			if j := s.jobs[rec.Job]; j != nil {
-				j.State = StateCanceled
-				j.Exit = rec.Exit
-			}
-		case EvInterrupt:
-			if j := s.jobs[rec.Job]; j != nil {
-				j.State = StateQueued
-				j.Partial = rec.Partial
-			}
-		case EvRequeue, EvDrain:
-			// Informational; job state is carried by the records above.
+			s.jobs[rec.Job] = &Job{}
+			s.nextSeq = max(s.nextSeq, rec.Seq+1)
+		}
+		if j := s.jobs[rec.Job]; j != nil {
+			j.apply(rec)
 		}
 	}
 	// Jobs still marked running were interrupted by a crash (no terminal
@@ -236,22 +197,19 @@ func (s *Server) replay(recs []Record) error {
 			j.dropPayload()
 			continue
 		}
-		interrupted := j.State == StateRunning
-		j.State = StateQueued
-		j.Requeued = true
-		// The requeued job's latency clock restarts at daemon boot: the
-		// duration histogram always measures within one process lifetime.
-		j.sw = obs.StartStopwatch()
-		heap.Push(&s.queue, j)
-		s.metrics.jobState("queued")
-		s.metrics.jobState("requeued")
-		if interrupted {
-			if err := s.journal.Append(Record{Ev: EvRequeue, Job: j.ID, Attempt: j.Attempt}); err != nil {
+		rec := Record{Ev: EvRequeue, Job: j.ID, Attempt: j.Attempt}
+		if j.State == StateRunning {
+			if err := s.journal.Append(rec); err != nil {
 				return err
 			}
 			s.log.Logf(obs.Info, "serve", "job %s interrupted mid-attempt %d; requeued", j.ID, j.Attempt)
 			s.log.Add("serve/requeued", 1)
 		}
+		s.transition(j, rec)
+		// The requeued job's latency clock restarts at daemon boot: the
+		// duration histogram always measures within one process lifetime.
+		j.sw = obs.StartStopwatch()
+		heap.Push(&s.queue, j)
 	}
 	return nil
 }
@@ -313,6 +271,8 @@ func (s *Server) dispatch() {
 			continue
 		}
 		job := heap.Pop(&s.queue).(*Job)
+		ctx, cancel := context.WithCancel(context.Background())
+		job.cancel = cancel
 		spare := 0
 		if w := grantWant(job.Spec); w < grant {
 			// The head changed while dispatch waited; shrink to its size.
@@ -323,7 +283,7 @@ func (s *Server) dispatch() {
 		s.syncGauges()
 		s.mu.Unlock()
 		s.budget.Release(spare)
-		go s.runJob(job, grant)
+		go s.runJob(ctx, job, grant)
 	}
 }
 
@@ -376,28 +336,21 @@ func (s *Server) Submit(spec *JobSpec) (View, error) {
 	}
 	seq := s.nextSeq
 	s.nextSeq++
-	job := &Job{
-		ID:   fmt.Sprintf("j%06d", seq),
-		Seq:  seq,
-		Spec: spec,
-		// State set below, after the journal accepts the submit record.
-		State:   StateQueued,
-		stateCh: make(chan struct{}),
-		sw:      obs.StartStopwatch(),
-	}
 	s.mu.Unlock()
+	job := &Job{sw: obs.StartStopwatch()}
+	rec := Record{Ev: EvSubmit, Job: fmt.Sprintf("j%06d", seq), Seq: seq, Spec: spec}
 
 	// Journal before queueing: a job the scheduler can see must already be
 	// recoverable from disk.
-	if err := s.journal.Append(Record{Ev: EvSubmit, Job: job.ID, Seq: seq, Spec: spec}); err != nil {
+	if err := s.journal.Append(rec); err != nil {
 		return View{}, err
 	}
 
 	s.mu.Lock()
+	s.transition(job, rec)
 	s.jobs[job.ID] = job
 	heap.Push(&s.queue, job)
 	v := job.view()
-	s.metrics.jobState("queued")
 	s.syncGauges()
 	s.mu.Unlock()
 	signal(s.queueCh)
@@ -420,44 +373,34 @@ var (
 // running jobs get their context canceled and keep their best iterate.
 func (s *Server) Cancel(id string) (View, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	job, ok := s.jobs[id]
 	if !ok {
-		s.mu.Unlock()
 		return View{}, ErrNoSuchJob
 	}
 	if job.State.Terminal() {
-		v := job.view()
-		s.mu.Unlock()
-		return v, nil
-	}
-	wasQueued := job.State == StateQueued
-	job.State = StateCanceled
-	job.Exit = "canceled"
-	job.notifyState()
-	if wasQueued {
-		if s.queue.remove(job) {
-			heap.Init(&s.queue)
-		}
-		// Running jobs are counted terminal when their runner unwinds through
-		// finishJob; queued jobs have no runner, so count here.
-		s.countTerminal(job)
-		s.syncGauges()
-	}
-	cancel := job.cancel
-	v := job.view()
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	if wasQueued {
-		// Running jobs journal their cancel when the runner unwinds; queued
-		// jobs have no runner, so record it here.
-		if err := s.journal.Append(Record{Ev: EvCancel, Job: id, Exit: "canceled"}); err != nil {
-			return v, err
-		}
+		return job.view(), nil
 	}
 	s.log.Add("serve/canceled", 1)
-	return v, nil
+	if job.cancel != nil {
+		// A runner owns the job. Mark it canceled in memory only, outside
+		// apply: the runner sees the mark and journals the cancel with its
+		// attempt's result instead of a retry or done.
+		job.State, job.Exit = StateCanceled, "canceled"
+		job.notifyState()
+		job.cancel()
+		return job.view(), nil
+	}
+	// No runner: journal the cancel here. The mutex stays held across the
+	// append so dispatch cannot start the job between record and transition.
+	if s.queue.remove(job) {
+		heap.Init(&s.queue)
+	}
+	rec := job.cancelRecord()
+	err := s.appendRecord(rec)
+	s.transition(job, rec)
+	s.syncGauges()
+	return job.view(), err
 }
 
 // ErrNoSuchJob reports an unknown job id (HTTP 404).
@@ -633,139 +576,109 @@ func signal(ch chan struct{}) {
 }
 
 // runJob executes one job to a terminal state (or a drain checkpoint),
-// retrying retryable failures with damped options. It owns `grant` workers
-// of the shared budget for its whole duration, releasing them at the end.
-func (s *Server) runJob(job *Job, grant int) {
+// retrying retryable failures with damped options. It owns the job from
+// dispatch, and `grant` workers of the shared budget, until it returns.
+func (s *Server) runJob(ctx context.Context, job *Job, grant int) {
 	defer s.runners.Done()
 	defer s.budget.Release(grant)
 	defer func() {
 		s.mu.Lock()
+		job.cancel()
+		job.cancel = nil
 		s.running--
 		s.syncGauges()
 		s.mu.Unlock()
 	}()
-
-	for {
-		retry, done := s.runAttempt(job, grant)
-		if done {
-			return
-		}
-		if !retry {
-			return
-		}
+	for s.runAttempt(ctx, job, grant) {
 	}
 }
 
-// runAttempt executes one attempt. It returns retry=true when the job
-// should run again (after this call journaled the retry record and slept
-// the backoff), and done=true when the job reached a terminal state.
-func (s *Server) runAttempt(job *Job, grant int) (retry, done bool) {
-	jobCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	s.mu.Lock()
-	if job.State != StateQueued {
-		// Canceled between dispatch and start.
-		s.mu.Unlock()
-		return false, true
+// runAttempt executes one attempt and commits the record that ends it. It
+// returns true when the job should run again: the attempt failed
+// retryably and the backoff elapsed.
+func (s *Server) runAttempt(ctx context.Context, job *Job, grant int) bool {
+	if s.commitCancelMark(job) {
+		return false // canceled between dispatch and start, or in the backoff
 	}
-	job.State = StateRunning
-	job.Attempt++
-	job.Workers = grant
-	job.cancel = cancel
+	s.mu.Lock()
+	attempt, retries, spec := job.Attempt+1, job.Retries, job.Spec
 	if job.events == nil {
 		job.events = s.newJobBroadcaster()
 	}
-	attempt := job.Attempt
-	retries := job.Retries
-	spec := job.Spec
-	job.notifyState()
-	s.metrics.jobState("running")
 	s.mu.Unlock()
 
-	if err := s.journal.Append(Record{Ev: EvStart, Job: job.ID, Attempt: attempt, Workers: grant}); err != nil {
-		s.failJob(job, "error", fmt.Sprintf("journal: %v", err))
-		return false, true
+	if err := s.commit(job, Record{Ev: EvStart, Job: job.ID, Attempt: attempt, Workers: grant}); err != nil {
+		// The journal refused the start, so fail the job in memory only,
+		// without a record: the next daemon instance replays it as queued.
+		s.mu.Lock()
+		s.transition(job, Record{Ev: EvFail, Job: job.ID, Attempt: attempt,
+			Exit: "error", Error: fmt.Sprintf("journal: %v", err)})
+		s.mu.Unlock()
+		return false
 	}
 	s.log.Logf(obs.Info, "serve", "job %s attempt %d starting on %d workers", job.ID, attempt, grant)
 
-	result := s.place(jobCtx, job, spec, grant, retries)
+	result := s.place(ctx, job, spec, grant, retries)
 
 	// The crash window a SIGKILL can always hit: solve finished, terminal
 	// record not yet journaled. Tests arm this site to prove the journal
 	// replays the job to an identical placement.
 	if faultinject.Hit(faultinject.SiteServeCrashBeforeCommit) {
-		return false, true
+		return false
 	}
 
+	rec := Record{Job: job.ID, Attempt: attempt, Exit: result.class(),
+		Error: result.errString(), HPWL: result.hpwl, Partial: result.partial}
 	s.mu.Lock()
-	canceled := job.State == StateCanceled
-	drainKilled := s.drainKill && jobCtx.Err() != nil && !canceled
-	s.mu.Unlock()
-
 	switch {
-	case canceled:
-		s.journal.Append(Record{Ev: EvCancel, Job: job.ID, Attempt: attempt, Exit: "canceled"})
-		s.finishJob(job, StateCanceled, "canceled", result)
-		return false, true
-
-	case drainKilled:
-		// Checkpointed by the drain deadline: journal the interrupt so the
-		// next daemon instance requeues the job.
-		s.journal.Append(Record{Ev: EvInterrupt, Job: job.ID, Attempt: attempt,
-			Error: result.errString(), Partial: result.partial})
-		s.mu.Lock()
-		job.State = StateQueued
-		job.Requeued = true
-		job.Partial = result.partial
-		job.notifyState()
-		s.metrics.jobState("queued")
-		s.metrics.jobState("requeued")
-		s.mu.Unlock()
-		s.log.Add("serve/checkpointed", 1)
-		return false, true
-
+	case job.State == StateCanceled:
+		rec.Ev, rec.Exit = EvCancel, "canceled"
+	case s.drainKill && ctx.Err() != nil:
+		// Checkpointed by the drain deadline: the next daemon instance
+		// requeues the job.
+		rec.Ev = EvInterrupt
 	case result.err == nil || result.usable:
-		s.journal.Append(Record{Ev: EvDone, Job: job.ID, Attempt: attempt,
-			Exit: result.class(), HPWL: result.hpwl, Partial: result.partial})
-		s.finishJob(job, StateDone, result.class(), result)
-		s.log.Add("serve/done", 1)
-		return false, true
-
+		rec.Ev = EvDone
 	case pipeline.Retryable(result.err) && retries < s.cfg.MaxRetries:
-		s.journal.Append(Record{Ev: EvRetry, Job: job.ID, Attempt: attempt,
-			Exit: result.class(), Error: result.errString()})
-		s.mu.Lock()
-		job.Retries++
-		job.State = StateQueued
-		job.Error = result.errString()
-		job.notifyState()
-		nRetries := job.Retries
-		s.metrics.jobState("queued")
-		s.mu.Unlock()
-		s.metrics.retries.With(result.class()).Inc()
+		rec.Ev = EvRetry
+	default:
+		rec.Ev = EvFail
+	}
+	s.mu.Unlock()
+	s.commit(job, rec)
+
+	switch rec.Ev {
+	case EvInterrupt:
+		s.log.Add("serve/checkpointed", 1)
+	case EvDone:
+		s.log.Add("serve/done", 1)
+	case EvFail:
+		s.log.Add("serve/failed", 1)
+	case EvRetry:
+		s.metrics.retries.With(rec.Exit).Inc()
 		s.log.Add("serve/retries", 1)
 		s.log.Logf(obs.Warn, "serve", "job %s attempt %d failed (%s); retrying with damped options",
-			job.ID, attempt, result.class())
-		if !s.backoff(jobCtx, nRetries) {
-			// Canceled or drained during backoff; next loop settles state.
-			s.mu.Lock()
-			stillQueued := job.State == StateQueued
-			s.mu.Unlock()
-			if stillQueued {
-				s.journal.Append(Record{Ev: EvInterrupt, Job: job.ID, Attempt: attempt})
-				return false, true
-			}
+			job.ID, attempt, rec.Exit)
+		if s.backoff(ctx, retries+1) {
+			return true
 		}
-		return true, false
-
-	default:
-		s.journal.Append(Record{Ev: EvFail, Job: job.ID, Attempt: attempt,
-			Exit: result.class(), Error: result.errString()})
-		s.finishJob(job, StateFailed, result.class(), result)
-		s.log.Add("serve/failed", 1)
-		return false, true
+		// Canceled or shut down during the backoff: a cancel still owes the
+		// journal its record; a shutdown leaves the job queued there.
+		s.commitCancelMark(job)
 	}
+	return false
+}
+
+// commitCancelMark commits the cancel of a job Cancel marked while no
+// attempt was running, reporting whether the job was marked.
+func (s *Server) commitCancelMark(job *Job) bool {
+	s.mu.Lock()
+	marked, rec := job.State == StateCanceled, job.cancelRecord()
+	s.mu.Unlock()
+	if marked {
+		s.commit(job, rec)
+	}
+	return marked
 }
 
 // backoff sleeps the damped-retry delay (100ms doubling per retry, capped at
@@ -787,20 +700,47 @@ func (s *Server) backoff(ctx context.Context, retries int) bool {
 	}
 }
 
-// finishJob moves job to a terminal state and closes its event stream.
-func (s *Server) finishJob(job *Job, state State, exit string, result attemptResult) {
+// commit journals rec, then applies it to job: the write-ahead order
+// DESIGN.md §12 promises, on the one path every live transition takes. A
+// failed append is logged and counted, and the transition still applies:
+// the attempt it records has already happened. Returns the append error.
+func (s *Server) commit(job *Job, rec Record) error {
+	err := s.appendRecord(rec)
 	s.mu.Lock()
-	job.State = state
-	job.Exit = exit
-	job.Error = result.errString()
-	job.HPWL = result.hpwl
-	job.Partial = result.partial
-	job.notifyState()
-	s.countTerminal(job)
-	events := job.events
+	s.transition(job, rec)
 	s.mu.Unlock()
-	if events != nil {
-		events.Close()
+	return err
+}
+
+// appendRecord journals one job record, logging and counting a failure.
+func (s *Server) appendRecord(rec Record) error {
+	err := s.journal.Append(rec)
+	if err != nil {
+		s.log.Logf(obs.Warn, "serve", "job %s: %s record: %v", rec.Job, rec.Ev, err)
+		s.log.Add("serve/journal_errors", 1)
+	}
+	return err
+}
+
+// transition applies rec to job and publishes the change: it wakes state
+// watchers, counts the transition and, on a terminal record, counts the
+// job's end and closes its event stream. Caller holds the mutex.
+func (s *Server) transition(job *Job, rec Record) {
+	job.apply(rec)
+	job.notifyState()
+	switch rec.Ev {
+	case EvSubmit, EvRetry:
+		s.metrics.jobState("queued")
+	case EvStart:
+		s.metrics.jobState("running")
+	case EvInterrupt, EvRequeue:
+		s.metrics.jobState("queued")
+		s.metrics.jobState("requeued")
+	case EvDone, EvFail, EvCancel:
+		s.countTerminal(job)
+		if job.events != nil {
+			job.events.Close()
+		}
 	}
 }
 
@@ -823,12 +763,6 @@ func (s *Server) newJobBroadcaster() *obs.LineBroadcaster {
 	b := obs.NewLineBroadcaster()
 	b.SetDropHook(func() { s.metrics.sseDropped.Inc() })
 	return b
-}
-
-// failJob is finishJob for infrastructure failures that have no attempt
-// result.
-func (s *Server) failJob(job *Job, exit, msg string) {
-	s.finishJob(job, StateFailed, exit, attemptResult{err: errors.New(msg)})
 }
 
 // attemptResult carries one attempt's outcome between place and the journal

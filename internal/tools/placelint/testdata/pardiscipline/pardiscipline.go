@@ -1,8 +1,8 @@
 // Package pardiscipline seeds the pardiscipline check: inside a closure
 // handed to the internal/par pool, writes must land in worker-owned slots.
 // Shared accumulators, map writes, and fixed-index slice writes are flagged;
-// slots indexed by the closure's own range (or the worker id) are exempt,
-// as is the serial reduction after the pool call returns.
+// slots indexed by the closure's own range are exempt, as is the serial
+// reduction after the pool call returns.
 package pardiscipline
 
 import (
@@ -37,20 +37,6 @@ func computeThenReduce(ctx context.Context, pool *par.Pool, xs []float64) float6
 	})
 	total := 0.0
 	for _, v := range out { // serial reduction in index order — the sanctioned shape
-		total += v
-	}
-	return total
-}
-
-func perWorkerPartials(ctx context.Context, pool *par.Pool, xs []float64) float64 {
-	partial := make([]float64, pool.Workers())
-	_ = pool.RunWorker(ctx, len(xs), 1, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			partial[w] += xs[i] // exempt: the worker owns slot w
-		}
-	})
-	total := 0.0
-	for _, v := range partial {
 		total += v
 	}
 	return total

@@ -9,7 +9,9 @@
 // SIGTERM and assert a clean drain (exit 0).
 //
 // Phase 2 (drain under load): reboot the daemon on the same data directory
-// (exercising journal replay) with a short -drain-timeout, submit a job big
+// (exercising journal replay), assert the replayed daemon serves phase 1's
+// job view byte-identical to the last one phase 1 fetched, then, with a
+// short -drain-timeout, submit a job big
 // enough to still be grinding at the deadline, SIGTERM mid-run, assert
 // /readyz flips to 503 while the job is still running and /metrics keeps
 // serving through the drain window, and assert the daemon exits 3 (forced
@@ -24,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -150,16 +153,25 @@ type jobView struct {
 	HPWL  float64 `json:"hpwl"`
 }
 
+// jobJSON fetches one job's view as the daemon serialized it.
+func (d *daemon) jobJSON(id string) ([]byte, error) {
+	resp, err := http.Get(d.base + "/jobs/" + id)
+	if err != nil {
+		return nil, fmt.Errorf("GET /jobs/%s: %w", id, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET /jobs/%s: status %d", id, resp.StatusCode)
+	}
+	return io.ReadAll(resp.Body)
+}
+
 // job fetches one job's view (ok=false on transport/decode trouble, which
 // pollers treat as retry).
 func (d *daemon) job(id string) (jobView, bool) {
 	var v jobView
-	resp, err := http.Get(d.base + "/jobs/" + id)
-	if err != nil {
-		return v, false
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	b, err := d.jobJSON(id)
+	if err != nil || json.Unmarshal(b, &v) != nil {
 		return v, false
 	}
 	return v, true
@@ -233,39 +245,41 @@ func smoke(bin string, budget time.Duration, dataDir string) error {
 		}
 	}
 
-	if err := phaseCleanLifecycle(bin, data, &activeDone, wait, expired.C); err != nil {
+	id, view, err := phaseCleanLifecycle(bin, data, &activeDone, wait, expired.C)
+	if err != nil {
 		return fmt.Errorf("phase 1: %w", err)
 	}
-	if err := phaseDrainUnderLoad(bin, data, &activeDone, wait, expired.C); err != nil {
+	if err := phaseDrainUnderLoad(bin, data, id, view, &activeDone, wait, expired.C); err != nil {
 		return fmt.Errorf("phase 2: %w", err)
 	}
 	return nil
 }
 
 // phaseCleanLifecycle is the happy path: one job end to end, probes green,
-// metrics populated and deterministic, clean drain on SIGTERM.
+// metrics populated and deterministic, clean drain on SIGTERM. It returns
+// the job's id and the last view of it the daemon served.
 func phaseCleanLifecycle(bin, data string, activeDone *chan error,
-	wait func(string, func() (bool, error)) error, expired <-chan time.Time) error {
+	wait func(string, func() (bool, error)) error, expired <-chan time.Time) (id string, view []byte, err error) {
 	d, err := startDaemon(bin, data, nil, wait)
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	*activeDone = d.done
 	defer d.cmd.Process.Kill()
 
 	// Health probes before any work: alive and ready.
 	if got := d.getStatus("/healthz"); got != http.StatusOK {
-		return fmt.Errorf("/healthz = %d, want 200", got)
+		return "", nil, fmt.Errorf("/healthz = %d, want 200", got)
 	}
 	if got := d.getStatus("/readyz"); got != http.StatusOK {
-		return fmt.Errorf("/readyz = %d, want 200", got)
+		return "", nil, fmt.Errorf("/readyz = %d, want 200", got)
 	}
 
-	id, err := d.submit(`{"name":"smoke","priority":1,
+	id, err = d.submit(`{"name":"smoke","priority":1,
 		"gen":{"seed":7,"bits":8,"units":["adder","regbank"],"random_cells":300,"pads":12},
 		"options":{"outer":8,"inner":20}}`)
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	fmt.Printf("serve-smoke: submitted %s to %s\n", id, d.base)
 
@@ -284,17 +298,17 @@ func phaseCleanLifecycle(bin, data string, activeDone *chan error,
 		}
 		return false, nil
 	}); err != nil {
-		return err
+		return "", nil, err
 	}
 	if last.Exit != "ok" || last.HPWL <= 0 {
-		return fmt.Errorf("job finished exit=%q hpwl=%v, want ok with positive HPWL", last.Exit, last.HPWL)
+		return "", nil, fmt.Errorf("job finished exit=%q hpwl=%v, want ok with positive HPWL", last.Exit, last.HPWL)
 	}
 	fmt.Printf("serve-smoke: %s done, HPWL %.0f\n", id, last.HPWL)
 
 	// Validate the run-report artifact, metrics_snapshot included.
 	resp, err := http.Get(d.base + "/jobs/" + id + "/report")
 	if err != nil {
-		return fmt.Errorf("report: %w", err)
+		return "", nil, fmt.Errorf("report: %w", err)
 	}
 	var report struct {
 		Schema string `json:"schema"`
@@ -307,31 +321,31 @@ func phaseCleanLifecycle(bin, data string, activeDone *chan error,
 	err = json.NewDecoder(resp.Body).Decode(&report)
 	resp.Body.Close()
 	if err != nil {
-		return fmt.Errorf("report: decode: %w", err)
+		return "", nil, fmt.Errorf("report: decode: %w", err)
 	}
 	if report.Schema != "dpplace-run-report/v1" {
-		return fmt.Errorf("report schema = %q, want dpplace-run-report/v1", report.Schema)
+		return "", nil, fmt.Errorf("report schema = %q, want dpplace-run-report/v1", report.Schema)
 	}
 	if report.Exit != "ok" || report.HPWL.Final <= 0 {
-		return fmt.Errorf("report exit=%q final=%v, want ok with positive final HPWL", report.Exit, report.HPWL.Final)
+		return "", nil, fmt.Errorf("report exit=%q final=%v, want ok with positive final HPWL", report.Exit, report.HPWL.Final)
 	}
 	if len(report.MetricsSnapshot) == 0 {
-		return fmt.Errorf("report has no metrics_snapshot section")
+		return "", nil, fmt.Errorf("report has no metrics_snapshot section")
 	}
 	if report.MetricsSnapshot[`dpplaced_jobs_total{state="running"}`] < 1 {
-		return fmt.Errorf("metrics_snapshot missing the running-state transition: %v", report.MetricsSnapshot)
+		return "", nil, fmt.Errorf("metrics_snapshot missing the running-state transition: %v", report.MetricsSnapshot)
 	}
 
 	// The placement artifact is a Bookshelf .pl.
 	resp, err = http.Get(d.base + "/jobs/" + id + "/placement")
 	if err != nil {
-		return fmt.Errorf("placement: %w", err)
+		return "", nil, fmt.Errorf("placement: %w", err)
 	}
 	plBytes := make([]byte, 64)
 	n, _ := resp.Body.Read(plBytes)
 	resp.Body.Close()
 	if !strings.Contains(string(plBytes[:n]), "UCLA pl") {
-		return fmt.Errorf("placement artifact does not look like a .pl: %q", plBytes[:n])
+		return "", nil, fmt.Errorf("placement artifact does not look like a .pl: %q", plBytes[:n])
 	}
 
 	// Wait for the scheduler to go fully idle (runner unwound, budget
@@ -352,51 +366,54 @@ func phaseCleanLifecycle(bin, data string, activeDone *chan error,
 		}
 		return st.Running == 0 && st.WorkersInUse == 0, nil
 	}); err != nil {
-		return err
+		return "", nil, err
 	}
 	text, err := d.scrapeMetrics()
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	for _, want := range coreSeries {
 		if !strings.Contains(text, want) {
-			return fmt.Errorf("/metrics missing %q", want)
+			return "", nil, fmt.Errorf("/metrics missing %q", want)
 		}
 	}
 	again, err := d.scrapeMetrics()
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	if again != text {
-		return fmt.Errorf("two idle /metrics scrapes are not byte-identical")
+		return "", nil, fmt.Errorf("two idle /metrics scrapes are not byte-identical")
 	}
 	fmt.Println("serve-smoke: /metrics core series present, idle scrapes identical")
+	if view, err = d.jobJSON(id); err != nil {
+		return "", nil, err
+	}
 
 	// SIGTERM: the drain must be clean (exit 0).
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("signal: %w", err)
+		return "", nil, fmt.Errorf("signal: %w", err)
 	}
 	select {
 	case err := <-d.done:
 		if err != nil {
 			var ee *exec.ExitError
 			if errors.As(err, &ee) {
-				return fmt.Errorf("drain exit code %d, want 0", ee.ExitCode())
+				return "", nil, fmt.Errorf("drain exit code %d, want 0", ee.ExitCode())
 			}
-			return fmt.Errorf("drain: %w", err)
+			return "", nil, fmt.Errorf("drain: %w", err)
 		}
 	case <-expired:
-		return fmt.Errorf("drain: daemon still running at the smoke budget")
+		return "", nil, fmt.Errorf("drain: daemon still running at the smoke budget")
 	}
 	fmt.Println("serve-smoke: clean drain")
-	return nil
+	return id, view, nil
 }
 
-// phaseDrainUnderLoad reboots on the same data dir (journal replay), pins a
-// grinder job, and proves the drain-aware probe contract: /readyz flips to
-// 503 before the in-flight job finishes, /metrics serves through the drain,
-// and the forced drain exits 3.
-func phaseDrainUnderLoad(bin, data string, activeDone *chan error,
+// phaseDrainUnderLoad reboots on the same data dir (journal replay), checks
+// the replayed view of phase 1's job, pins a grinder job, and proves the
+// drain-aware probe contract: /readyz flips to 503 before the in-flight job
+// finishes, /metrics serves through the drain, and the forced drain exits 3.
+func phaseDrainUnderLoad(bin, data, doneID string, doneView []byte, activeDone *chan error,
 	wait func(string, func() (bool, error)) error, expired <-chan time.Time) error {
 	d, err := startDaemon(bin, data, []string{"-drain-timeout", "2s"}, wait)
 	if err != nil {
@@ -405,10 +422,20 @@ func phaseDrainUnderLoad(bin, data string, activeDone *chan error,
 	*activeDone = d.done
 	defer d.cmd.Process.Kill()
 
-	// The replayed daemon still serves phase 1's terminal job.
+	// The replayed daemon still serves phase 1's terminal job, exactly as
+	// the live daemon showed it.
 	if got := d.getStatus("/readyz"); got != http.StatusOK {
 		return fmt.Errorf("/readyz after replay = %d, want 200", got)
 	}
+	replayed, err := d.jobJSON(doneID)
+	if err != nil {
+		return fmt.Errorf("after replay: %w", err)
+	}
+	if !bytes.Equal(replayed, doneView) {
+		return fmt.Errorf("replayed view of %s differs from the live one:\n live     %s\n replayed %s",
+			doneID, doneView, replayed)
+	}
+	fmt.Printf("serve-smoke: replayed view of %s identical to the live one\n", doneID)
 
 	id, err := d.submit(`{"name":"grinder",
 		"gen":{"seed":7,"bits":8,"units":["adder","muxtree"],"random_cells":2500,"pads":16},
